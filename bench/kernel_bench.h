@@ -41,6 +41,8 @@
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "faults/retry_storm.h"
+#include "reference/faults/retry_storm_legacy.h"
+#include "reference/sim/heap_simulator.h"
 #include "sim/simulator.h"
 
 namespace epm::bench {

@@ -5,7 +5,7 @@
 //
 //   telemetry_ingest           bulk_append of the reference counter mix
 //                              (workload/fleet_counters.h) through the
-//                              lock-free ring pipeline, at 1 thread and at
+//                              two-pass shard partition, at 1 thread and at
 //                              `threads`; gated on absolute points/minute
 //   telemetry_raw_bytes /      footprint of the same samples raw (16 B per
 //   telemetry_compressed_bytes point) vs the sealed-block payload; the
@@ -18,7 +18,7 @@
 //
 //   * legacy equivalence — the columnar store at 1/2/8 threads must answer
 //     range / daily_trend / hourly_pattern bit-identically to the legacy
-//     per-sample store on the same batch;
+//     per-sample store (reference/) on the same batch;
 //   * anomaly recall — every spike injected by the generator must surface
 //     in anomalies(), and the event list must be identical at 1 vs
 //     `threads` ingest threads.
@@ -37,6 +37,7 @@
 
 #include "bench_report.h"
 #include "core/parallel.h"
+#include "reference/telemetry/legacy_store.h"
 #include "telemetry/store.h"
 #include "workload/fleet_counters.h"
 
@@ -93,8 +94,8 @@ inline bool aggregates_equal(const telemetry::Aggregate& a,
   return a.count == b.count && a.sum == b.sum && a.min == b.min && a.max == b.max;
 }
 
-inline bool means_equal(const telemetry::MultiScaleSeries::BinnedMeans& a,
-                        const telemetry::MultiScaleSeries::BinnedMeans& b) {
+inline bool means_equal(const telemetry::BinnedMeans& a,
+                        const telemetry::BinnedMeans& b) {
   return a.times_s == b.times_s && a.means == b.means;
 }
 

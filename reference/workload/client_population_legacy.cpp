@@ -1,4 +1,4 @@
-#include "workload/client_population_legacy.h"
+#include "reference/workload/client_population_legacy.h"
 
 #include <algorithm>
 #include <cmath>

@@ -6,36 +6,11 @@
 #include "faults/retry_storm_engine.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
-#include "workload/client_population_legacy.h"
 
 namespace epm::faults {
-namespace {
-
-/// The serial runner: a plain epoch loop over the phase-split engine with a
-/// private completion kernel — the exact PR 4-6 execution shape (the engine
-/// is verbatim code motion from the old monolithic loop, so outcomes are
-/// bit-identical to every checked-in anchor).
-template <typename Population>
-RetryStormOutcome run_retry_storm_impl(const RetryStormConfig& config) {
-  RetryStormEngine<Population> engine(config);
-  sim::Simulator completions;
-  const double dt = engine.epoch_s();
-  for (std::size_t e = 0; e < engine.epochs(); ++e) {
-    engine.begin_epoch(e, completions);
-    completions.run_until(static_cast<double>(e) * dt + dt);
-    engine.end_epoch(e);
-  }
-  return engine.finish();
-}
-
-}  // namespace
 
 RetryStormOutcome run_retry_storm(const RetryStormConfig& config) {
-  return run_retry_storm_impl<workload::ClientPopulation>(config);
-}
-
-RetryStormOutcome run_retry_storm_legacy(const RetryStormConfig& config) {
-  return run_retry_storm_impl<workload::LegacyClientPopulation>(config);
+  return run_retry_storm_serial<workload::ClientPopulation>(config);
 }
 
 struct FederatedRetryStorm::Impl {

@@ -136,12 +136,6 @@ struct RetryStormOutcome {
 /// as one batch-scheduled kernel event per epoch.
 RetryStormOutcome run_retry_storm(const RetryStormConfig& config);
 
-/// Same scenario on the PR 5 heap engine (workload::LegacyClientPopulation)
-/// with one kernel event per completion — the faithful A/B baseline the
-/// kernel bench gates against. Outcomes are bit-identical to
-/// run_retry_storm by construction (asserted by the equivalence suite).
-RetryStormOutcome run_retry_storm_legacy(const RetryStormConfig& config);
-
 /// The same scenario executed event-by-event on shard `shard` of a
 /// federation: the epoch loop becomes a driver-event chain on that shard's
 /// kernel (see retry_storm_engine.h), so a 1-shard federation replays

@@ -27,8 +27,9 @@
 //     FIFO guarantee replays the serial loop order exactly, which is what
 //     the "degenerate federation" golden tests assert.
 //
-// Population is the client engine (workload::ClientPopulation or the PR 5
-// legacy heap engine); see retry_storm.cpp for the drive protocol.
+// Population is the client engine type (workload::ClientPopulation in the
+// library; the reference heap engine reuses the same runner for its A/B);
+// see retry_storm.cpp for the drive protocol.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +51,7 @@
 #include "sensing/sensor_plane.h"
 #include "sensing/telemetry_feed.h"
 #include "sim/event_fn.h"
+#include "sim/simulator.h"
 #include "telemetry/store.h"
 
 namespace epm::faults {
@@ -405,5 +407,21 @@ class RetryStormEngine {
   std::uint64_t fresh0_ = 0;
   std::uint64_t stale0_ = 0;
 };
+
+/// The serial runner: a plain epoch loop over the phase-split engine with a
+/// private completion kernel. Outcomes are bit-identical to the federated
+/// runner on a 1-shard federation and to every checked-in anchor.
+template <typename Population>
+RetryStormOutcome run_retry_storm_serial(const RetryStormConfig& config) {
+  RetryStormEngine<Population> engine(config);
+  sim::Simulator completions;
+  const double dt = engine.epoch_s();
+  for (std::size_t e = 0; e < engine.epochs(); ++e) {
+    engine.begin_epoch(e, completions);
+    completions.run_until(static_cast<double>(e) * dt + dt);
+    engine.end_epoch(e);
+  }
+  return engine.finish();
+}
 
 }  // namespace epm::faults

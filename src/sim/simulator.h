@@ -8,31 +8,23 @@
 // Events scheduled at the same timestamp run in scheduling order (a strictly
 // increasing sequence number breaks ties), which makes runs deterministic.
 //
-// Two interchangeable scheduler backends share that contract:
-//
-//  * CalendarSimulator — the default. A two-tier calendar queue: a bucketed
-//    near-future wheel (O(1) amortized schedule/fire at any queue size, the
-//    classic Brown result) plus a sorted far-future overflow heap, auto-
-//    resizing on occupancy. Event nodes live in a chunked slab with a
-//    freelist, closures are stored allocation-free (EventFn inline storage,
-//    ClosureArena for oversized captures), and cancellation is an O(1)
-//    status flip on the node — no hash set, no tombstone arithmetic.
-//  * HeapSimulator — the original binary-heap + std::function + hash-set-
-//    tombstone implementation, kept as the A/B baseline for the kernel
-//    microbench and the cross-validation property suite.
-//
-// `Simulator` aliases the calendar backend; define EPM_SIM_BINARY_HEAP to
-// point the whole system at the binary-heap path instead (both backends are
-// always compiled).
+// The scheduler is a two-tier calendar queue: a bucketed near-future wheel
+// (O(1) amortized schedule/fire at any queue size, the classic Brown
+// result) plus a sorted far-future overflow heap, auto-resizing on
+// occupancy. Event nodes live in a chunked slab with a freelist, closures
+// are stored allocation-free (EventFn inline storage, ClosureArena for
+// oversized captures), and cancellation is an O(1) status flip on the node
+// — no hash set, no tombstone arithmetic. `Simulator` names it everywhere.
+// The binary-heap scheduler it replaced is kept outside the library, in the
+// epm_reference library that tests and benches link, as the A/B baseline
+// for the kernel bench and the cross-validation property suite.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <queue>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,7 +40,6 @@ class EventHandle {
 
  private:
   friend class CalendarSimulator;
-  friend class HeapSimulator;
   explicit EventHandle(std::uint64_t id) : id_(id) {}
   std::uint64_t id_ = 0;
 };
@@ -261,88 +252,6 @@ class CalendarSimulator {
   std::size_t batch_bucket_ = 0;
 };
 
-/// The original binary-heap scheduler (std::function events, hash-set
-/// cancellation tombstones), kept compilable as the A/B baseline for
-/// bench/exp_kernel_throughput and the kernel property suite.
-class HeapSimulator {
- public:
-  using Callback = std::function<void()>;
-
-  HeapSimulator() = default;
-  HeapSimulator(const HeapSimulator&) = delete;
-  HeapSimulator& operator=(const HeapSimulator&) = delete;
-
-  double now() const { return now_s_; }
-
-  EventHandle schedule_at(double when_s, Callback fn);
-  EventHandle schedule_at(double when_s, EventFn fn);
-  EventHandle schedule_after(double delay_s, Callback fn);
-  EventHandle schedule_after(double delay_s, EventFn fn);
-  EventHandle schedule_periodic(double first_s, double period_s, Callback fn);
-  EventHandle schedule_periodic(double first_s, double period_s, EventFn fn);
-
-  /// API-parity batch schedule (the heap has no bucket to amortize; this is
-  /// a plain loop so the two backends stay drop-in interchangeable).
-  template <typename It>
-  void schedule_batch_at(double when_s, It first, It last) {
-    for (It it = first; it != last; ++it) {
-      schedule_at(when_s, std::move(*it));
-    }
-  }
-
-  void cancel(EventHandle handle);
-  std::size_t run_until(double until_s);
-  /// Half-open mirror of run_until: fires events strictly before `until_s`
-  /// and leaves now() at the last fired event (see CalendarSimulator).
-  std::size_t run_before(double until_s);
-  std::size_t run_all();
-  bool step();
-  /// Next pending timestamp or +infinity; drains cancelled tombstones off
-  /// the heap top so a dead entry never masquerades as the head.
-  double next_time();
-  /// Snapshot-restore support, mirroring CalendarSimulator::restore_clock:
-  /// requires pending() == 0, drops any cancelled tombstones, and sets the
-  /// clock.
-  void restore_clock(double now_s);
-  std::size_t pending() const { return queue_.size() - cancelled_.size(); }
-
- private:
-  struct Event {
-    double when_s;
-    std::uint64_t seq;
-    std::uint64_t id;
-    // Larger than zero => reschedule after firing.
-    double period_s;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when_s != b.when_s) return a.when_s > b.when_s;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventHandle push(double when_s, double period_s, Callback fn);
-  bool is_cancelled(std::uint64_t id) const;
-  /// Pops cancelled tombstones off the heap top; they must not satisfy the
-  /// run_until time check on behalf of a later live event.
-  void drain_cancelled_top();
-
-  double now_s_ = 0.0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  /// Ids cancelled but not yet drained from the queue; erased when their
-  /// queued instance pops, so the set stays bounded by live cancellations
-  /// and every lookup is O(1) (a linear scan here made cancelling n events
-  /// O(n^2) across the subsequent drain).
-  std::unordered_set<std::uint64_t> cancelled_;
-};
-
-#ifdef EPM_SIM_BINARY_HEAP
-using Simulator = HeapSimulator;
-#else
 using Simulator = CalendarSimulator;
-#endif
 
 }  // namespace epm::sim

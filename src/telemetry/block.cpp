@@ -188,12 +188,11 @@ Aggregate ColumnSeries::range(double t0_s, double t1_s) const {
   return range_at_level(levels_.size() - 1, t0_s, t1_s);
 }
 
-MultiScaleSeries::BinnedMeans ColumnSeries::means_at_level(std::size_t level,
-                                                           double t0_s,
-                                                           double t1_s) const {
+BinnedMeans ColumnSeries::means_at_level(std::size_t level, double t0_s,
+                                         double t1_s) const {
   require(level < levels_.size(), "ColumnSeries: level out of range");
   require(t1_s >= t0_s, "ColumnSeries: inverted range");
-  MultiScaleSeries::BinnedMeans out;
+  BinnedMeans out;
   if (total_samples_ == 0) return out;
   const LevelBins& lvl = levels_[level];
   const LevelWindow w = effective_window(level);

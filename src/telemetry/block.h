@@ -2,13 +2,14 @@
 //
 // One counter's history is a chain of sealed, immutable, compressed blocks
 // plus one open block of plain contiguous columns (times[], values[]).
-// Ingest is two vector pushes; all the per-sample work the legacy store did
-// synchronously — the multiscale banding cascade, downsampling, anomaly
-// scoring — runs once per block at seal time, over contiguous arrays:
+// Ingest is two vector pushes; all the per-sample work a per-sample cascade
+// would do synchronously — the multiscale banding cascade, downsampling,
+// anomaly scoring — runs once per block at seal time, over contiguous
+// arrays:
 //
 //   seal:  [banding]   LevelBins::add_column per level (the same fold the
-//                      legacy store runs per sample, so band queries answer
-//                      bit-identically),
+//                      reference per-sample cascade runs, so band queries
+//                      answer bit-identically),
 //          [downsample] 4-wide-lane min/max + strict-order sum summary,
 //          [detect]    StreamingSpikeDetector::observe per sample,
 //          [compress]  predictive delta-of-delta timestamps + Gorilla XOR
@@ -36,8 +37,6 @@ struct TelemetryTuning {
   /// Block boundaries depend only on the per-series sample count, so the
   /// layout is identical at every thread count.
   std::size_t block_capacity = 1024;
-  /// Slots per ingest ring (ring.h) on the parallel bulk path.
-  std::size_t ring_capacity = 4096;
   StreamingAnomalyConfig anomaly;
 };
 
@@ -91,12 +90,11 @@ class ColumnSeries {
   /// continuation of the same fold).
   Aggregate range(double t0_s, double t1_s) const;
   Aggregate range_at_level(std::size_t level, double t0_s, double t1_s) const;
-  MultiScaleSeries::BinnedMeans means_at_level(std::size_t level, double t0_s,
-                                               double t1_s) const;
+  BinnedMeans means_at_level(std::size_t level, double t0_s, double t1_s) const;
 
-  /// Exact raw-history aggregate over [t0, t1) — the query the legacy
-  /// design had to keep a separate RawStore for. Whole blocks inside the
-  /// window contribute their summaries without decompression.
+  /// Exact raw-history aggregate over [t0, t1) — answered from the blocks
+  /// themselves, no separate raw copy. Whole blocks inside the window
+  /// contribute their summaries without decompression.
   Aggregate raw_range(double t0_s, double t1_s) const;
 
   std::size_t memory_bytes() const;

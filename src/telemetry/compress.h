@@ -27,6 +27,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace epm::telemetry {
@@ -71,7 +72,16 @@ class BitWriter {
   unsigned free_ = 8;  ///< bits still open in the accumulator byte
 };
 
-/// MSB-first reader over a BitWriter stream.
+/// Thrown by BitReader when a read runs past the end of its buffer: the
+/// stream is truncated or its header overstates the sample count.
+class EndOfStreamError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// MSB-first reader over a BitWriter stream. Reading past the last byte
+/// throws EndOfStreamError instead of inventing zero bits, so a truncated
+/// block cannot decode into plausible wrong values.
 class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t bytes)
@@ -83,7 +93,10 @@ class BitReader {
     std::uint64_t out = 0;
     while (n > 0) {
       if (avail_ == 0) {
-        cur_ = pos_ < bytes_ ? data_[pos_++] : 0;
+        if (pos_ >= bytes_) {
+          throw EndOfStreamError("BitReader: read past the end of the stream");
+        }
+        cur_ = data_[pos_++];
         avail_ = 8;
       }
       const unsigned take = n < avail_ ? n : avail_;

@@ -10,14 +10,17 @@
 //    thus reducing storage requirements."
 //
 // Each counter keeps a pyramid of aggregate levels (e.g. 15 s -> 1 min ->
-// 15 min -> 1 h -> 1 d). Appends cascade upward in O(1) amortized; range
-// queries are answered from the coarsest level that still resolves the
-// request; old fine-grained bins are evicted per level-specific retention.
+// 15 min -> 1 h -> 1 d). Range queries are answered from the finest level
+// that still covers the request; old fine-grained bins are evicted per
+// level-specific retention.
 //
-// The per-level fold lives in `LevelBins`, shared verbatim between the
-// legacy per-sample cascade here and the columnar store's block-seal
-// banding (block.h) — one code path, so the two stores answer band queries
-// bit-identically by construction.
+// This header holds what every banded consumer shares: the `Aggregate`
+// fold, the level configuration, and `LevelBins`, one level's dense bin
+// row. The columnar store (block.h) folds each sealed block into its rows;
+// the per-sample cascade that first used them (MultiScaleSeries) is kept
+// only in the epm_reference test library, as the equivalence oracle, and
+// runs the very same fold, so the two answer band queries bit-identically
+// by construction.
 #pragma once
 
 #include <cstddef>
@@ -75,47 +78,15 @@ struct LevelBins {
   void evict();
 };
 
-/// One counter's multi-resolution history. Samples must arrive with
-/// non-decreasing timestamps.
-class MultiScaleSeries {
- public:
-  explicit MultiScaleSeries(MultiScaleConfig config = {});
-
-  void append(double time_s, double value);
-  std::uint64_t total_samples() const { return total_samples_; }
-  std::size_t level_count() const { return levels_.size(); }
-  double level_resolution_s(std::size_t level) const;
-  std::size_t level_bins(std::size_t level) const;
-
-  /// Aggregate over [t0_s, t1_s), served from the finest level whose
-  /// retention still covers t0_s (bin-aligned approximation at the edges).
-  /// Returns an empty aggregate when nothing is retained for the range.
-  Aggregate range(double t0_s, double t1_s) const;
-
-  /// Aggregate over [t0_s, t1_s) from a specific level.
-  Aggregate range_at_level(std::size_t level, double t0_s, double t1_s) const;
-
-  /// Per-bin means from `level` covering [t0_s, t1_s); bins without data are
-  /// skipped. Times are bin starts.
-  struct BinnedMeans {
-    std::vector<double> times_s;
-    std::vector<double> means;
-  };
-  BinnedMeans means_at_level(std::size_t level, double t0_s, double t1_s) const;
-
-  /// Approximate resident memory (bins x aggregate size), for the paper's
-  /// storage-reduction argument.
-  std::size_t memory_bytes() const;
-
- private:
-  std::vector<LevelBins> levels_;
-  double last_time_s_ = -1.0;
-  std::uint64_t total_samples_ = 0;
+/// Per-bin means from one level over a query window; bins without data are
+/// skipped. Times are bin starts.
+struct BinnedMeans {
+  std::vector<double> times_s;
+  std::vector<double> means;
 };
 
 /// Validates a MultiScaleConfig (positive resolutions, integer >1 level
-/// ratios) and returns the level rows ready for folding. Shared by
-/// MultiScaleSeries and the columnar store's ColumnSeries.
+/// ratios) and returns the level rows ready for folding.
 std::vector<LevelBins> make_level_bins(const MultiScaleConfig& config);
 
 }  // namespace epm::telemetry

@@ -21,10 +21,10 @@
 // in deterministic shard order, bit-identical at any thread count), RNG is
 // drawn as branch-free block transforms over the raw counter states, and
 // per-epoch scratch comes from an EpochArena instead of the heap. The
-// per-event heap engine it replaced is preserved as
-// LegacyClientPopulation (client_population_legacy.h) for the in-run A/B
-// bench; the equivalence suite asserts both engines produce bit-identical
-// attempt streams and ledgers.
+// per-event heap engine it replaced is kept in the epm_reference library
+// (linked by tests and benches only) as the A/B baseline; the equivalence
+// suite asserts both engines produce bit-identical attempt streams and
+// ledgers.
 //
 // Everything is per-client and seeded, so a population replayed against the
 // same service responses reproduces the same attempt stream bit-for-bit.
@@ -115,7 +115,7 @@ struct ClientLedger {
 };
 
 /// Throws std::invalid_argument on an unusable configuration (shared by the
-/// sweep engine and the legacy heap engine).
+/// sweep engine and the reference heap engine).
 void validate_client_population_config(const ClientPopulationConfig& config);
 
 /// Human-readable account of the first violated conservation identity over

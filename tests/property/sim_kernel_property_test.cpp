@@ -2,7 +2,8 @@
 // are observationally identical. Both backends execute the same randomized
 // script of schedule/cancel/periodic/advance operations, and every firing
 // (timestamp + identity), every pending() probe, and the final clock must
-// match exactly — the contract that lets `Simulator` alias either backend.
+// match exactly — the contract that makes the reference heap scheduler a
+// valid oracle for the calendar queue.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "reference/sim/heap_simulator.h"
 #include "sim/simulator.h"
 
 namespace epm::sim {
@@ -30,7 +32,7 @@ ScriptResult run_script(std::uint64_t seed, int ops) {
   Sim sim;
   SplitMix64 rng(seed);
   ScriptResult result;
-  std::vector<EventHandle> handles;
+  std::vector<decltype(sim.schedule_at(0.0, EventFn{}))> handles;
   std::vector<bool> fired;     // one-shots only; periodics stay false
   std::vector<bool> periodic;
   std::vector<bool> cancelled;

@@ -28,6 +28,7 @@
 #include "faults/injector.h"
 #include "faults/retry_storm.h"
 #include "network/interdc_link.h"
+#include "reference/sim/heap_simulator.h"
 #include "repro/figures.h"
 #include "sensing/actuator_plane.h"
 #include "sim/fabric.h"

@@ -10,6 +10,8 @@
 
 #include "core/rng.h"
 #include "telemetry/block.h"
+#include "reference/telemetry/multiscale_series.h"
+#include "telemetry/compress.h"
 #include "telemetry/multiscale.h"
 
 namespace epm::telemetry {
@@ -73,6 +75,33 @@ TEST(SeriesBlock, SealedBlockDecodesBitExactly) {
   EXPECT_EQ(got_times, times);
   EXPECT_EQ(got_values, values);
   EXPECT_LT(block.payload_bytes(), 16u * 16u);  // compressed below raw
+}
+
+TEST(SeriesBlock, TruncatedSealedBlockThrowsEndOfStream) {
+  ColumnSeries series(MultiScaleConfig{}, tiny_blocks(64));
+  Rng rng(21);
+  for (int i = 0; i < 64; ++i) {
+    series.append(15.0 * i, std::floor(rng.uniform(0.0, 1e6)));
+  }
+  ASSERT_EQ(series.blocks().size(), 1u);
+  const SealedBlock& sealed = series.blocks().front();
+  std::vector<double> times;
+  std::vector<double> values;
+  // The writer emits a trailing byte only when it holds payload bits, so
+  // every proper prefix of either column is missing data the decoder needs:
+  // each must fail loudly instead of decoding zero-filled values.
+  for (std::size_t keep = 0; keep < sealed.time_bytes.size(); ++keep) {
+    SealedBlock cut = sealed;
+    cut.time_bytes.resize(keep);
+    EXPECT_THROW(cut.decode(times, values), EndOfStreamError) << "time bytes " << keep;
+  }
+  for (std::size_t keep = 0; keep < sealed.value_bytes.size(); ++keep) {
+    SealedBlock cut = sealed;
+    cut.value_bytes.resize(keep);
+    EXPECT_THROW(cut.decode(times, values), EndOfStreamError) << "value bytes " << keep;
+  }
+  sealed.decode(times, values);  // the intact block still round-trips
+  EXPECT_EQ(times.size(), 64u);
 }
 
 TEST(SeriesBlock, RejectsTimeRegressions) {

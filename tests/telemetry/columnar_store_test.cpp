@@ -1,10 +1,9 @@
-// ColumnarTelemetryStore vs LegacyTelemetryStore: the two implementations
+// ColumnarTelemetryStore vs the reference LegacyTelemetryStore: the two
 // must answer the shared band-query API bit-identically on equal input, at
-// every ingest thread count (1/2/8 exercises the serial path, the minimal
-// 1-producer/1-drainer pipeline, and a 4x4 ring matrix). Also the shard-mix
+// every ingest thread count (1/2/8 partition slices). Also the shard-mix
 // fix: stride-64 server enumerations must spread across shards instead of
 // serializing on one. Suite names match the TSan/ASan CI regexes
-// ("Telemetry") so the ring pipeline races under both sanitizers.
+// ("Telemetry") so the partitioned ingest races under both sanitizers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "reference/telemetry/legacy_store.h"
 #include "telemetry/store.h"
 #include "workload/fleet_counters.h"
 
@@ -23,8 +23,7 @@ bool aggregates_identical(const Aggregate& a, const Aggregate& b) {
   return a.count == b.count && a.sum == b.sum && a.min == b.min && a.max == b.max;
 }
 
-bool means_identical(const MultiScaleSeries::BinnedMeans& a,
-                     const MultiScaleSeries::BinnedMeans& b) {
+bool means_identical(const BinnedMeans& a, const BinnedMeans& b) {
   return a.times_s == b.times_s && a.means == b.means;
 }
 
@@ -32,7 +31,7 @@ workload::FleetCountersBatch reference_batch() {
   workload::FleetCountersConfig mix;
   mix.servers = 40;
   mix.counters_per_server = 8;
-  mix.ticks = 20;  // 6,400 samples: above the 4,096 pipelined-path floor
+  mix.ticks = 20;  // 6,400 samples
   mix.seed = 0xabc;
   return workload::synthesize_fleet_counters(mix);
 }

@@ -144,6 +144,26 @@ TEST(TelemetryCompressProperty, BitStreamRoundTripsArbitraryWidths) {
   }
 }
 
+TEST(TelemetryCompress, BitReaderThrowsAtEndOfStream) {
+  BitWriter writer;
+  writer.put(0b101, 3);
+  const auto bytes = writer.finish();  // one byte: 101 + five pad bits
+  ASSERT_EQ(bytes.size(), 1u);
+  BitReader reader(bytes);
+  EXPECT_EQ(reader.get(3), 0b101u);
+  EXPECT_EQ(reader.get(5), 0u);  // padding is inside the buffer
+  EXPECT_THROW(reader.get(1), EndOfStreamError);
+
+  BitReader empty(nullptr, 0);
+  EXPECT_THROW(empty.get_bit(), EndOfStreamError);
+
+  // A 64-bit read that starts inside the buffer but ends past it throws
+  // too, rather than returning a partly zero-filled word.
+  const std::vector<std::uint8_t> seven(7, 0xff);
+  BitReader short_word(seven);
+  EXPECT_THROW(short_word.get(64), EndOfStreamError);
+}
+
 TEST(TelemetryCompress, ConstantCadenceSeriesCompressesFarBelowRaw) {
   // 1024 identical values on a fixed 15 s cadence: after the two seed
   // samples, every timestamp is a predictor hit (1 bit) and every value an

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "reference/telemetry/multiscale_series.h"
 
 namespace epm::telemetry {
 namespace {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "reference/telemetry/legacy_store.h"
 
 namespace epm::telemetry {
 namespace {

@@ -20,8 +20,9 @@
 
 #include "core/rng.h"
 #include "faults/retry_storm.h"
+#include "reference/faults/retry_storm_legacy.h"
+#include "reference/workload/client_population_legacy.h"
 #include "workload/client_population.h"
-#include "workload/client_population_legacy.h"
 
 namespace epm {
 namespace {
