@@ -1,6 +1,6 @@
 // Extension experiment (EXP-Y): chaos drills for the federation.
 //
-// Three gated drills from the chaos harness (faults/chaos_fleet.h):
+// Two gated drills:
 //
 //   * recovery — the reference fleet storm under a correlated regional
 //     grid event (fault-domain fan-out). The defended arm (admission
@@ -8,11 +8,14 @@
 //     datacenters) must end the run at >= 99% of its pre-event fleet
 //     goodput at EVERY swept fleet size; the naive arm (no defense, blind
 //     round-robin into the fault domain) must fail that bar at every one.
-//   * restore — kill-and-restore from a mid-run snapshot must continue
-//     bit-identically to the uninterrupted run, at 1 and 8 worker threads.
-//   * partition — an open partition must park traffic in the bounded
-//     mailbox FIFO and, after heal, finish with zero message loss and
-//     per-pair FIFO order intact.
+//     (faults/chaos_fleet.h)
+//   * partition — on the control-plane world (faults/control_chaos.h), an
+//     open partition on the 0 -> 1 link must park control traffic in the
+//     bounded mailbox FIFO and, after heal, finish with zero message loss,
+//     per-pair FIFO order intact, and clean leases and fencing, at 1 and 8
+//     worker threads.
+//
+// Kill-and-restore is gated by EXP-Z (exp_control_plane, drill 4).
 //
 // Emits one BENCH_chaos.json record per drill (set EPM_BENCH_REPORT to
 // redirect); the checked-in copy is the reference run the CI smoke lane
@@ -26,6 +29,7 @@
 #include "bench_report.h"
 #include "core/table.h"
 #include "faults/chaos_fleet.h"
+#include "faults/control_chaos.h"
 
 using namespace epm;
 
@@ -64,24 +68,22 @@ void append_recovery_record(std::size_t dcs, const std::string& arm_name,
   append_provenance(file);
 }
 
-void append_restore_record(std::size_t threads,
-                           const faults::ChaosRestoreReport& rep) {
+void append_partition_record(std::size_t threads,
+                             const faults::ControlPartitionReport& rep) {
   auto file = open_report();
   if (!file) return;
-  file << "{\"name\":\"chaos_restore_equivalence\",\"threads\":" << threads
-       << ",\"snapshot_bytes\":" << rep.snapshot_bytes
-       << ",\"identical\":" << (rep.identical ? "true" : "false");
-  append_provenance(file);
-}
-
-void append_partition_record(const faults::ChaosPartitionReport& rep) {
-  auto file = open_report();
-  if (!file) return;
-  file << "{\"name\":\"chaos_partition_zero_loss\",\"parked_at_check\":"
-       << rep.parked_at_check << ",\"redelivered\":" << rep.redelivered
+  file << "{\"name\":\"chaos_partition_zero_loss\",\"world\":\"control\""
+       << ",\"threads\":" << threads
+       << ",\"parked_at_check\":" << rep.parked_at_check
+       << ",\"redelivered\":" << rep.redelivered
+       << ",\"parked_seen\":" << (rep.parked_seen ? "true" : "false")
        << ",\"drained\":" << (rep.drained ? "true" : "false")
        << ",\"zero_loss\":" << (rep.zero_loss ? "true" : "false")
        << ",\"fifo_ok\":" << (rep.fifo_ok ? "true" : "false")
+       << ",\"fencing_clean\":"
+       << (rep.outcome.fencing_clean ? "true" : "false")
+       << ",\"lease_unique\":"
+       << (rep.outcome.lease_unique_ok ? "true" : "false")
        << ",\"passed\":" << (rep.passed ? "true" : "false");
   append_provenance(file);
 }
@@ -125,53 +127,41 @@ int main() {
   }
   std::cout << recovery.render();
 
-  // Drill 2: kill-and-restore bit-identical continuation.
-  faults::ChaosFleetConfig chaos;
-  Table restore({"threads", "snapshot bytes", "identical"});
+  // Drill 2: partition, park, heal, drain on the control-plane world.
+  Table partition({"threads", "parked@check", "redelivered", "drained",
+                   "zero loss", "fifo", "fencing", "lease", "passed"});
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    faults::ChaosFleetConfig c = chaos;
+    faults::ControlChaosConfig c;
     c.threads = threads;
-    const auto rep = faults::run_chaos_fleet_with_restore(c, 20.0, 35.0);
-    append_restore_record(threads, rep);
-    restore.add_row({std::to_string(threads),
-                     std::to_string(rep.snapshot_bytes),
-                     rep.identical ? "yes" : "NO"});
-    if (!rep.identical) {
+    const auto part = faults::run_control_partition_drill(
+        c, /*partition_at_s=*/12.5, /*check_at_s=*/20.0, /*heal_at_s=*/22.0);
+    append_partition_record(threads, part);
+    partition.add_row({std::to_string(threads),
+                       std::to_string(part.parked_at_check),
+                       std::to_string(part.redelivered),
+                       part.drained ? "yes" : "NO",
+                       part.zero_loss ? "yes" : "NO",
+                       part.fifo_ok ? "yes" : "NO",
+                       part.outcome.fencing_clean ? "clean" : "DOUBLE",
+                       part.outcome.lease_unique_ok ? "unique" : "DUP",
+                       part.passed ? "yes" : "NO"});
+    if (!part.passed) {
       gate_ok = false;
-      std::cout << "  RESTORE DIVERGED at " << threads << " threads:\n    un: "
-                << rep.uninterrupted.conservation_report << "\n    re: "
-                << rep.restored.conservation_report << "\n";
+      std::cout << "  PARTITION DRILL FAILED at " << threads
+                << " threads: " << part.outcome.report << "\n";
     }
   }
-  std::cout << restore.render();
-
-  // Drill 3: partition, park, heal, drain — zero loss.
-  const auto part = faults::run_chaos_partition_drill(chaos, 15.0, 30.0, 32.0);
-  append_partition_record(part);
-  Table partition({"parked@check", "redelivered", "drained", "zero loss",
-                   "fifo", "passed"});
-  partition.add_row({std::to_string(part.parked_at_check),
-                     std::to_string(part.redelivered),
-                     part.drained ? "yes" : "NO",
-                     part.zero_loss ? "yes" : "NO",
-                     part.fifo_ok ? "yes" : "NO",
-                     part.passed ? "yes" : "NO"});
   std::cout << partition.render();
-  if (!part.passed) {
-    gate_ok = false;
-    std::cout << "  PARTITION DRILL FAILED: "
-              << part.outcome.conservation_report << "\n";
-  }
 
-  std::cout << "\n  Chaos gates (recovery >= 99%, bit-identical restore, "
-               "zero-loss partition): "
+  std::cout << "\n  Chaos gates (recovery >= 99%, zero-loss FIFO "
+               "partition): "
             << (gate_ok ? "all pass" : "FAILED") << "\n";
   std::cout
       << "  Paper: regional grid events hit correlated groups of "
          "datacenters at once (§3.2) — resilience\n  must be engineered at "
          "the fleet level. Measured: fault-domain-aware forward steering "
          "plus the\n  admission stack rides out a regional outage the naive "
-         "fleet cannot, and the federation's\n  snapshots and partition "
-         "mailboxes lose nothing along the way.\n";
+         "fleet cannot, and the federation's\n  partition mailboxes lose "
+         "and reorder no control message along the way.\n";
   return gate_ok ? 0 : 1;
 }

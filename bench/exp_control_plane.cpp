@@ -22,6 +22,7 @@
 //   * restore — a run snapshotted mid-failover (after the kill, before
 //     the successor's claim) and restored into a fresh federation must
 //     finish bit-identical to the uninterrupted run, at 1 and 8 threads.
+//     This is the repo's only kill-and-restore gate.
 //
 // Emits one BENCH_controlplane.json record per drill (set
 // EPM_BENCH_REPORT to redirect); the checked-in copy is the reference
@@ -200,7 +201,7 @@ int main() {
       c.threads = threads;
       const auto out = faults::run_control_plane(c);
       ++runs;
-      if (!faults::control_outcomes_equal(reference, out)) {
+      if (out != reference) {
         identical = false;
         std::cout << "  CONFORMANCE DIVERGED at shards=" << shards
                   << " threads=" << threads << "\n";

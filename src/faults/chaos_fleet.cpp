@@ -1,250 +1,14 @@
 #include "faults/chaos_fleet.h"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <sstream>
-#include <utility>
+#include <vector>
 
 #include "core/require.h"
-#include "core/rng.h"
 #include "faults/fault_domain.h"
+#include "faults/fleet_storm.h"
 #include "sim/fabric.h"
-#include "sim/sharded_simulator.h"
-#include "sim/snapshot.h"
 
 namespace epm::faults {
 namespace {
-
-constexpr std::uint64_t kDriveTag = 1;
-constexpr std::uint64_t kWorkTag = 2;
-constexpr std::uint32_t kChaosMagic = 0x736f6163;  // "caos"
-constexpr std::uint32_t kChaosVersion = 1;
-
-/// Deterministic uniform draw for (seed, dc, counter) — one independent
-/// value per drive epoch, never shared across datacenters.
-double u01(std::uint64_t seed, std::uint64_t d, std::uint64_t ctr) {
-  const std::uint64_t z =
-      SplitMix64::mix(seed + 0x9e3779b97f4a7c15ULL * (d * 1000003ULL + ctr + 1));
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
-void validate(const ChaosFleetConfig& c) {
-  require(c.dcs >= 1, "chaos fleet: need at least one datacenter");
-  require(c.epoch_s > 0.0, "chaos fleet: epoch_s must be positive");
-  require(c.lookahead_s > 0.0, "chaos fleet: lookahead_s must be positive");
-  require(c.drive_until_s > 0.0 && c.drive_until_s <= c.horizon_s,
-          "chaos fleet: need 0 < drive_until_s <= horizon_s");
-  require(c.arrival_rate_rps >= 0.0 && c.service_rate_rps >= 0.0,
-          "chaos fleet: rates must be non-negative");
-  require(c.forward_fraction >= 0.0 && c.forward_fraction <= 1.0,
-          "chaos fleet: forward_fraction must be in [0, 1]");
-}
-
-sim::ShardedConfig make_sharded_config(const ChaosFleetConfig& c) {
-  sim::ShardedConfig sc;
-  sc.shards = c.dcs;
-  sc.threads = c.threads;
-  sc.uniform_lookahead_s = c.lookahead_s;
-  return sc;
-}
-
-/// The snapshot-capable drive world: one TaggedKernel per shard, every
-/// event a (tag, payload) record, every cross-shard message tagged. All
-/// mutable state is plain data, so save()/restore() capture it exactly.
-class ChaosWorld {
- public:
-  ChaosWorld(const ChaosFleetConfig& config, sim::ShardedSimulator& fed)
-      : config_(config), fed_(fed), dcs_(config.dcs) {
-    for (std::size_t d = 0; d < config_.dcs; ++d) {
-      dcs_[d].fwd_seq.assign(config_.dcs, 0);
-      dcs_[d].last_seen.assign(config_.dcs, 0);
-      kernels_.push_back(std::make_unique<sim::TaggedKernel>(fed_.shard(d)));
-      sim::TaggedKernel& tk = *kernels_.back();
-      tk.on(kDriveTag, [this](double now, const sim::TagPayload& p) {
-        drive(static_cast<std::size_t>(p[0]), now);
-      });
-      tk.on(kWorkTag, [this, d](double, const sim::TagPayload& p) {
-        work(d, p);
-      });
-    }
-    fed_.set_tagged_delivery(
-        [this](std::size_t dst, double when_s, std::uint64_t tag,
-               const std::vector<std::uint64_t>& payload) {
-          kernels_[dst]->schedule_tagged_at(when_s, tag, payload);
-        });
-  }
-
-  /// Starts a fresh run (first drive tick on every shard at t = 0). NOT
-  /// called on the restore path — the snapshot carries the pending records.
-  void arm() {
-    for (std::size_t d = 0; d < config_.dcs; ++d) {
-      kernels_[d]->schedule_tagged_at(0.0, kDriveTag,
-                                      {static_cast<std::uint64_t>(d)});
-    }
-  }
-
-  void save(sim::SnapshotWriter& w) const {
-    w.begin_section(kChaosMagic, kChaosVersion);
-    w.write_u64(config_.dcs);
-    w.write_u8(fifo_ok_ ? 1 : 0);
-    for (const Dc& dc : dcs_) {
-      w.write_u64(dc.generated);
-      w.write_u64(dc.served);
-      w.write_u64(dc.dropped);
-      w.write_u64(dc.backlog);
-      w.write_u64(dc.forwarded_items);
-      w.write_u64(dc.received_items);
-      w.write_u64(dc.epoch);
-      w.write_u64(dc.rng_ctr);
-      w.write_payload(dc.fwd_seq);
-      w.write_payload(dc.last_seen);
-    }
-    for (std::size_t d = 0; d < config_.dcs; ++d) kernels_[d]->save(w);
-    fed_.save_state(w);
-  }
-
-  void restore(sim::SnapshotReader& r) {
-    r.expect_section(kChaosMagic, kChaosVersion);
-    require(r.read_u64() == config_.dcs,
-            "chaos snapshot datacenter count does not match the config");
-    fifo_ok_ = r.read_u8() != 0;
-    for (Dc& dc : dcs_) {
-      dc.generated = r.read_u64();
-      dc.served = r.read_u64();
-      dc.dropped = r.read_u64();
-      dc.backlog = r.read_u64();
-      dc.forwarded_items = r.read_u64();
-      dc.received_items = r.read_u64();
-      dc.epoch = r.read_u64();
-      dc.rng_ctr = r.read_u64();
-      dc.fwd_seq = r.read_payload();
-      dc.last_seen = r.read_payload();
-      require(dc.fwd_seq.size() == config_.dcs &&
-                  dc.last_seen.size() == config_.dcs,
-              "chaos snapshot sequence tables do not match the fleet size");
-    }
-    for (std::size_t d = 0; d < config_.dcs; ++d) kernels_[d]->restore(r);
-    fed_.restore_state(r);
-  }
-
-  ChaosFleetOutcome finish() const {
-    ChaosFleetOutcome out;
-    out.dcs.resize(config_.dcs);
-    std::uint64_t gen = 0, served = 0, dropped = 0, backlog = 0, fwd = 0,
-                  recv = 0;
-    for (std::size_t d = 0; d < config_.dcs; ++d) {
-      const Dc& dc = dcs_[d];
-      ChaosDcOutcome& o = out.dcs[d];
-      o.generated = dc.generated;
-      o.served = dc.served;
-      o.dropped = dc.dropped;
-      o.backlog = dc.backlog;
-      o.forwarded_items = dc.forwarded_items;
-      o.received_items = dc.received_items;
-      o.epochs = dc.epoch;
-      gen += dc.generated;
-      served += dc.served;
-      dropped += dc.dropped;
-      backlog += dc.backlog;
-      fwd += dc.forwarded_items;
-      recv += dc.received_items;
-    }
-    out.final_now_s = fed_.now();
-    out.final_pending = fed_.pending();
-    out.messages_sent = fed_.messages_sent();
-    out.messages_redelivered = fed_.messages_redelivered();
-    out.messages_parked_end = fed_.messages_parked();
-    out.fifo_ok = fifo_ok_;
-    const bool drained =
-        out.messages_parked_end == 0 && out.final_pending == 0;
-    const bool zero_loss = fwd == recv;
-    const bool ledger = gen == served + dropped + backlog + (fwd - recv);
-    out.conservation_ok = drained && zero_loss && ledger;
-    std::ostringstream os;
-    os << "generated=" << gen << " served=" << served << " dropped=" << dropped
-       << " backlog=" << backlog << " forwarded=" << fwd
-       << " received=" << recv << " parked=" << out.messages_parked_end
-       << " pending=" << out.final_pending
-       << (out.conservation_ok ? " [conserved]" : " [NOT conserved]");
-    out.conservation_report = os.str();
-    return out;
-  }
-
- private:
-  struct Dc {
-    std::uint64_t generated = 0;
-    std::uint64_t served = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t backlog = 0;
-    std::uint64_t forwarded_items = 0;
-    std::uint64_t received_items = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t rng_ctr = 0;
-    /// fwd_seq[dst]: messages ever forwarded to `dst` (the FIFO sequence
-    /// stamped on each work message); last_seen[src]: highest sequence
-    /// received from `src` — arrival must be exactly last_seen + 1.
-    std::vector<std::uint64_t> fwd_seq;
-    std::vector<std::uint64_t> last_seen;
-  };
-
-  void drive(std::size_t d, double now) {
-    Dc& dc = dcs_[d];
-    ++dc.epoch;
-    const double u = u01(config_.seed, d, dc.rng_ctr++);
-    const auto arrivals = static_cast<std::uint64_t>(std::floor(
-        config_.arrival_rate_rps * config_.epoch_s * (0.8 + 0.4 * u)));
-    dc.generated += arrivals;
-    const std::size_t n = config_.dcs;
-    std::uint64_t fwd = static_cast<std::uint64_t>(
-        std::floor(static_cast<double>(arrivals) * config_.forward_fraction));
-    if (n <= 1) fwd = 0;
-    dc.backlog += arrivals - fwd;
-    if (fwd > 0) {
-      // Rotate over peers by epoch; d + 1 + offset is never d itself.
-      const std::size_t offset =
-          static_cast<std::size_t>((dc.epoch - 1) % (n - 1));
-      const std::size_t peer = (d + 1 + offset) % n;
-      const std::uint64_t seq = ++dc.fwd_seq[peer];
-      dc.forwarded_items += fwd;
-      fed_.send_tagged(d, peer, config_.lookahead_s, kWorkTag,
-                       {static_cast<std::uint64_t>(d), fwd, seq});
-    }
-    const auto capacity = static_cast<std::uint64_t>(
-        std::floor(config_.service_rate_rps * config_.epoch_s));
-    const std::uint64_t serve = std::min(dc.backlog, capacity);
-    dc.backlog -= serve;
-    dc.served += serve;
-    if (dc.backlog > config_.backlog_cap) {
-      dc.dropped += dc.backlog - config_.backlog_cap;
-      dc.backlog = config_.backlog_cap;
-    }
-    // Self-reschedule with a fresh record id (snapshot invariant) until the
-    // drive window closes; the slack to the horizon drains in-flight work.
-    const double next = now + config_.epoch_s;
-    if (next < config_.drive_until_s) {
-      kernels_[d]->schedule_tagged_at(next, kDriveTag,
-                                      {static_cast<std::uint64_t>(d)});
-    }
-  }
-
-  void work(std::size_t dst, const sim::TagPayload& p) {
-    require(p.size() == 3, "chaos work payload must be (src, count, seq)");
-    const auto src = static_cast<std::size_t>(p[0]);
-    require(src < config_.dcs, "chaos work message from unknown datacenter");
-    Dc& dc = dcs_[dst];
-    if (p[2] != dc.last_seen[src] + 1) fifo_ok_ = false;
-    dc.last_seen[src] = p[2];
-    dc.received_items += p[1];
-    dc.backlog += p[1];
-  }
-
-  const ChaosFleetConfig config_;
-  sim::ShardedSimulator& fed_;
-  std::vector<Dc> dcs_;
-  std::vector<std::unique_ptr<sim::TaggedKernel>> kernels_;
-  bool fifo_ok_ = true;
-};
 
 ChaosRecoveryArm summarize_arm(const FleetStormOutcome& o, double threshold) {
   ChaosRecoveryArm arm;
@@ -260,118 +24,6 @@ ChaosRecoveryArm summarize_arm(const FleetStormOutcome& o, double threshold) {
 }
 
 }  // namespace
-
-bool chaos_outcomes_equal(const ChaosFleetOutcome& a,
-                          const ChaosFleetOutcome& b) {
-  if (a.dcs.size() != b.dcs.size()) return false;
-  for (std::size_t d = 0; d < a.dcs.size(); ++d) {
-    const ChaosDcOutcome& x = a.dcs[d];
-    const ChaosDcOutcome& y = b.dcs[d];
-    if (x.generated != y.generated || x.served != y.served ||
-        x.dropped != y.dropped || x.backlog != y.backlog ||
-        x.forwarded_items != y.forwarded_items ||
-        x.received_items != y.received_items || x.epochs != y.epochs) {
-      return false;
-    }
-  }
-  return a.final_now_s == b.final_now_s &&
-         a.final_pending == b.final_pending && a.fifo_ok == b.fifo_ok &&
-         a.messages_redelivered == b.messages_redelivered &&
-         a.messages_parked_end == b.messages_parked_end &&
-         a.conservation_ok == b.conservation_ok &&
-         a.conservation_report == b.conservation_report;
-}
-
-ChaosFleetOutcome run_chaos_fleet(const ChaosFleetConfig& config,
-                                  const network::InterDcLinkPlan* plan) {
-  validate(config);
-  sim::ShardedSimulator fed(make_sharded_config(config));
-  if (plan != nullptr) fed.set_link_plan(plan);
-  ChaosWorld world(config, fed);
-  world.arm();
-  fed.run_until(config.horizon_s);
-  return world.finish();
-}
-
-ChaosRestoreReport run_chaos_fleet_with_restore(const ChaosFleetConfig& config,
-                                                double snapshot_at_s,
-                                                double kill_at_s) {
-  validate(config);
-  require(snapshot_at_s > 0.0 && snapshot_at_s <= kill_at_s &&
-              kill_at_s < config.horizon_s,
-          "chaos restore drill requires 0 < snapshot_at <= kill_at < horizon");
-  ChaosRestoreReport rep;
-  rep.uninterrupted = run_chaos_fleet(config);
-
-  std::vector<std::uint8_t> snapshot;
-  {
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ChaosWorld world(config, fed);
-    world.arm();
-    fed.run_until(snapshot_at_s);
-    sim::SnapshotWriter w;
-    world.save(w);
-    snapshot = w.take();
-    // Keep running past the checkpoint, then "kill": federation and world
-    // are destroyed at scope exit, everything after the snapshot discarded.
-    fed.run_until(kill_at_s);
-  }
-  rep.snapshot_bytes = snapshot.size();
-
-  {
-    // A cold process: fresh federation, fresh world (handlers registered,
-    // nothing armed), state rebuilt purely from the snapshot bytes.
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ChaosWorld world(config, fed);
-    sim::SnapshotReader r(snapshot);
-    world.restore(r);
-    require(r.at_end(), "chaos snapshot has trailing bytes");
-    fed.run_until(config.horizon_s);
-    rep.restored = world.finish();
-  }
-  rep.identical = chaos_outcomes_equal(rep.uninterrupted, rep.restored);
-  return rep;
-}
-
-ChaosPartitionReport run_chaos_partition_drill(const ChaosFleetConfig& config,
-                                               double partition_at_s,
-                                               double check_at_s,
-                                               double heal_at_s) {
-  validate(config);
-  require(config.dcs >= 2, "partition drill needs at least two datacenters");
-  require(partition_at_s >= 0.0 && partition_at_s < check_at_s &&
-              check_at_s <= heal_at_s && heal_at_s < config.horizon_s,
-          "partition drill requires partition < check <= heal < horizon");
-
-  network::InterDcLinkPlan plan(config.dcs);
-  plan.partition(0, 1, partition_at_s);
-
-  sim::ShardedSimulator fed(make_sharded_config(config));
-  fed.set_link_plan(&plan);
-  ChaosWorld world(config, fed);
-  world.arm();
-  fed.run_until(check_at_s);
-
-  ChaosPartitionReport rep;
-  rep.parked_at_check = fed.messages_parked();
-  rep.parked_seen = rep.parked_at_check > 0;
-
-  plan.heal(0, 1, heal_at_s);
-  fed.run_until(config.horizon_s);
-
-  rep.outcome = world.finish();
-  rep.redelivered = rep.outcome.messages_redelivered;
-  rep.drained = rep.outcome.messages_parked_end == 0;
-  std::uint64_t fwd = 0, recv = 0;
-  for (const ChaosDcOutcome& dc : rep.outcome.dcs) {
-    fwd += dc.forwarded_items;
-    recv += dc.received_items;
-  }
-  rep.zero_loss = fwd == recv && rep.outcome.final_pending == 0;
-  rep.fifo_ok = rep.outcome.fifo_ok;
-  rep.passed = rep.parked_seen && rep.drained && rep.zero_loss && rep.fifo_ok;
-  return rep;
-}
 
 ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
                                        std::size_t clients_per_dc,

@@ -1,137 +1,20 @@
-// Deterministic chaos harness for the federation (the robustness tentpole).
+// Fleet recovery drill for the federation: the fleet retry-storm scenario
+// (faults/fleet_storm.h) under a correlated regional grid event
+// (faults/fault_domain.h expanded onto FleetDisruptions). The defended arm
+// (admission stack + grid broadcasts steering forwards away from dark
+// datacenters) must end the run at >= `threshold` of its pre-fault fleet
+// goodput while the naive arm (no defense, blind round-robin forwards) must
+// not.
 //
-// Three drills, each pinning one resilience claim of the stack:
-//
-//   * kill-and-restore — a snapshot-capable fleet world (every event routed
-//     through sim::TaggedKernel, every cross-shard message sent tagged) is
-//     checkpointed at a barrier, run further, then "killed": the federation
-//     and world are destroyed, rebuilt from the config alone, restored from
-//     the snapshot bytes, and run to the horizon. The continuation must be
-//     bit-identical to the uninterrupted run — same counters, same final
-//     clock, same pending count.
-//
-//   * partition drill — an open-ended partition window on one directed link
-//     parks every in-flight message in the bounded mailbox FIFO; after
-//     heal() the backlog drains in send order and the run finishes with
-//     zero message loss (forwarded item count == received item count) and
-//     per-pair FIFO sequence numbers intact.
-//
-//   * recovery gate — the fleet retry-storm scenario under a correlated
-//     regional grid event (faults/fault_domain.h expanded onto
-//     FleetDisruptions): the defended arm (admission stack + grid
-//     broadcasts steering forwards away from dark datacenters) must end the
-//     run at >= `threshold` of its pre-fault fleet goodput while the naive
-//     arm (no defense, blind round-robin forwards) must not.
-//
-// The drive world here is intentionally small — a per-datacenter
-// generate/serve/forward loop with deterministic arrivals — because the
-// harness' subject is the *infrastructure* (snapshots, mailboxes, link
-// plans), not the workload model. The recovery gate reuses the full
-// faults/fleet_storm.h scenario for realism.
+// The snapshot and partition drills run on the control-plane world
+// (faults/control_chaos.h), the repo's one snapshot-capable drill world.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "faults/fleet_storm.h"
-#include "network/interdc_link.h"
 
 namespace epm::faults {
-
-struct ChaosFleetConfig {
-  /// Datacenters == federation shards (one kernel each).
-  std::size_t dcs = 4;
-  /// Worker threads for the federation (1 = serial).
-  std::size_t threads = 1;
-  /// Drive epoch: each datacenter generates/serves/forwards once per epoch.
-  double epoch_s = 0.5;
-  /// Last epoch tick strictly before this time; leaves slack before the
-  /// horizon so in-flight work (including partition redeliveries) lands.
-  double drive_until_s = 40.0;
-  double horizon_s = 60.0;
-  /// Uniform inter-datacenter latency floor (the federation lookahead).
-  double lookahead_s = 0.05;
-  double arrival_rate_rps = 200.0;  ///< mean arrivals per DC (±20% jitter)
-  double service_rate_rps = 240.0;  ///< per-DC service capacity
-  /// Fraction of each epoch's arrivals forwarded to a peer (round-robin
-  /// over peers by epoch), as one tagged message carrying the item count.
-  double forward_fraction = 0.25;
-  /// Local backlog bound; arrivals beyond it are dropped (and counted).
-  std::uint64_t backlog_cap = 1000000;
-  std::uint64_t seed = 1;
-};
-
-/// Per-datacenter ledger of the drive world.
-struct ChaosDcOutcome {
-  std::uint64_t generated = 0;
-  std::uint64_t served = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t backlog = 0;
-  std::uint64_t forwarded_items = 0;  ///< items sent to peers
-  std::uint64_t received_items = 0;   ///< items received from peers
-  std::uint64_t epochs = 0;
-};
-
-struct ChaosFleetOutcome {
-  std::vector<ChaosDcOutcome> dcs;
-  double final_now_s = 0.0;
-  std::size_t final_pending = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_redelivered = 0;
-  std::uint64_t messages_parked_end = 0;
-  /// Per-(src,dst) sequence numbers arrived strictly in send order.
-  bool fifo_ok = true;
-  /// Zero message loss (sum forwarded == sum received at the horizon) and
-  /// item conservation (generated == served + dropped + backlog).
-  bool conservation_ok = false;
-  std::string conservation_report;
-};
-
-/// Exact field-by-field equality (the restore drill demands bit-identical,
-/// not close).
-bool chaos_outcomes_equal(const ChaosFleetOutcome& a, const ChaosFleetOutcome& b);
-
-/// Uninterrupted run. `plan` (optional, non-owning) degrades links; it must
-/// have site_count() == config.dcs and any open partition must be healed
-/// before the run (this entry point runs straight to the horizon).
-ChaosFleetOutcome run_chaos_fleet(const ChaosFleetConfig& config,
-                                  const network::InterDcLinkPlan* plan = nullptr);
-
-/// Kill-and-restore drill: runs to `snapshot_at_s` (a barrier), snapshots,
-/// keeps running to `kill_at_s`, then destroys the federation and world,
-/// rebuilds both from the config, restores from the snapshot bytes, and
-/// re-runs to the horizon. Requires 0 < snapshot_at_s <= kill_at_s <
-/// horizon_s.
-struct ChaosRestoreReport {
-  ChaosFleetOutcome uninterrupted;
-  ChaosFleetOutcome restored;
-  bool identical = false;
-  std::size_t snapshot_bytes = 0;
-};
-ChaosRestoreReport run_chaos_fleet_with_restore(const ChaosFleetConfig& config,
-                                                double snapshot_at_s,
-                                                double kill_at_s);
-
-/// Partition drill: cuts 0->1 over [partition_at_s, inf), runs to
-/// check_at_s (expects parked messages), heals at heal_at_s (>= the
-/// committed horizon at that point), runs to the config horizon, and
-/// verifies zero loss + FIFO + full drain.
-struct ChaosPartitionReport {
-  ChaosFleetOutcome outcome;
-  std::uint64_t parked_at_check = 0;  ///< messages parked mid-partition
-  std::uint64_t redelivered = 0;
-  bool parked_seen = false;   ///< the partition actually parked something
-  bool drained = false;       ///< nothing left parked at the horizon
-  bool zero_loss = false;     ///< forwarded items == received items
-  bool fifo_ok = false;
-  bool passed = false;        ///< all of the above
-};
-ChaosPartitionReport run_chaos_partition_drill(const ChaosFleetConfig& config,
-                                               double partition_at_s,
-                                               double check_at_s,
-                                               double heal_at_s);
 
 /// Recovery gate: the reference fleet storm under a correlated grid script
 /// (fault_domain text syntax, e.g. "outage:region/americas@30+20"),

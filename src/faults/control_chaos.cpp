@@ -28,7 +28,9 @@ constexpr std::uint64_t kCmdTag = 3;
 constexpr std::uint64_t kJrnTag = 4;
 constexpr std::uint64_t kCtlFaultTag = 5;
 constexpr std::uint32_t kControlMagic = 0x776c7463;  // "ctlw"
-constexpr std::uint32_t kControlVersion = 1;
+constexpr std::uint32_t kControlVersion = 2;  // v2: per-pair sequence tables
+/// Every control message starts with {dst DC, src DC, per-pair sequence}.
+constexpr std::size_t kHeaderWords = 3;
 
 /// Controller fault edges delivered into the world clock.
 enum class CtlFaultAction : std::uint64_t {
@@ -38,15 +40,17 @@ enum class CtlFaultAction : std::uint64_t {
   kResume,
 };
 
-/// Deterministic uniform draw for (seed, dc, counter); same closed form as
-/// the chaos fleet so streams never depend on sharding or threading.
+/// Deterministic uniform draw for (seed, dc, counter); streams never depend
+/// on sharding or threading.
 double u01(std::uint64_t seed, std::uint64_t d, std::uint64_t ctr) {
   const std::uint64_t z =
       SplitMix64::mix(seed + 0x9e3779b97f4a7c15ULL * (d * 1000003ULL + ctr + 1));
   return static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
-void validate(const ControlChaosConfig& c) {
+/// Checks the config (and the optional link plan against it); returns it.
+const ControlChaosConfig& validated(const ControlChaosConfig& c,
+                                    const network::InterDcLinkPlan* plan) {
   require(c.dcs >= 1, "control chaos: need at least one datacenter");
   require(c.shards == 0 ||
               (c.shards <= c.dcs && c.dcs % c.shards == 0),
@@ -65,6 +69,13 @@ void validate(const ControlChaosConfig& c) {
           "control chaos: demand_jitter must be in [0, 1)");
   require(c.end_window_s > 0.0 && c.end_window_s <= c.drive_until_s,
           "control chaos: end_window_s must be in (0, drive_until_s]");
+  if (plan != nullptr) {
+    require(c.shards == 0 || c.shards == c.dcs,
+            "control chaos: a link plan requires shards == dcs");
+    require(plan->site_count() == c.dcs,
+            "control chaos: link plan site count must equal dcs");
+  }
+  return c;
 }
 
 std::size_t effective_shards(const ControlChaosConfig& c) {
@@ -187,25 +198,36 @@ sensing::ActuatorCommand to_actuator_command(const macro::ControlCommand& cmd) {
   return ac;
 }
 
-/// Snapshot-capable control-plane world: one TaggedKernel per shard, one
+/// Snapshot-capable control-plane world: its own federation (optionally
+/// over a degraded-link plan, non-owning), one TaggedKernel per shard, one
 /// plant + actuator endpoint per DC, one controller replica per DC (or only
 /// at DC 0 in the naive arm). All mutable state is plain data.
 class ControlWorld {
  public:
-  ControlWorld(const ControlChaosConfig& config, sim::ShardedSimulator& fed)
-      : config_(config),
-        fed_(fed),
+  explicit ControlWorld(const ControlChaosConfig& config,
+                        const network::InterDcLinkPlan* plan = nullptr)
+      : config_(validated(config, plan)),
+        fed_(make_sharded_config(config)),
         shards_(effective_shards(config)),
         dcs_per_shard_(config.dcs / effective_shards(config)),
         plants_(config.dcs),
-        sent_per_shard_(effective_shards(config), 0) {
+        seq_sent_(config.dcs * config.dcs, 0),
+        seq_received_(config.dcs * config.dcs, 0),
+        sent_per_shard_(effective_shards(config), 0),
+        received_per_shard_(effective_shards(config), 0),
+        fifo_breaks_per_shard_(effective_shards(config), 0) {
     const std::vector<macro::ProgramStep> program = make_program(config_);
     for (std::size_t d = 0; d < config_.dcs; ++d) {
       Plant& p = plants_[d];
       p.active_servers = static_cast<double>(config_.servers_per_dc);
       p.cap_frac = 1.0;
       p.setpoint_c = config_.safe_setpoint_c;
-      endpoints_.push_back(std::make_unique<Endpoint>(config_, d));
+      endpoints_.push_back(std::make_unique<Endpoint>(config_));
+      endpoints_.back()->plane.set_applier(
+          [this, d](const sensing::ActuatorCommand& c) {
+            apply_to_plant(d, c);
+            return true;
+          });
       const bool hosted = config_.replicated || d == 0;
       if (hosted) {
         macro::ControllerConfig cc;
@@ -229,13 +251,13 @@ class ControlWorld {
         drive(static_cast<std::size_t>(p[0]), now);
       });
       tk.on(kHbTag, [this](double now, const sim::TagPayload& p) {
-        on_heartbeat(static_cast<std::size_t>(p[0]), p[1], p[2], now);
+        on_heartbeat(receive(p), p[kHeaderWords], p[kHeaderWords + 1], now);
       });
       tk.on(kCmdTag, [this](double now, const sim::TagPayload& p) {
-        on_command(static_cast<std::size_t>(p[0]), p, now);
+        on_command(receive(p), p, now);
       });
       tk.on(kJrnTag, [this](double, const sim::TagPayload& p) {
-        on_journal(static_cast<std::size_t>(p[0]), p);
+        on_journal(receive(p), p);
       });
       tk.on(kCtlFaultTag, [this](double now, const sim::TagPayload& p) {
         on_ctl_fault(static_cast<std::size_t>(p[0]),
@@ -247,7 +269,10 @@ class ControlWorld {
                const std::vector<std::uint64_t>& payload) {
           kernels_[dst]->schedule_tagged_at(when_s, tag, payload);
         });
+    if (plan != nullptr) fed_.set_link_plan(plan);
   }
+
+  sim::ShardedSimulator& fed() { return fed_; }
 
   /// Fresh-run arming: first drive tick per DC plus every scheduled
   /// controller fault edge. NOT called on the restore path.
@@ -269,22 +294,26 @@ class ControlWorld {
     w.write_u64(config_.dcs);
     w.write_u64(shards_);
     for (const std::uint64_t n : sent_per_shard_) w.write_u64(n);
+    for (const std::uint64_t n : received_per_shard_) w.write_u64(n);
+    for (const std::uint64_t n : fifo_breaks_per_shard_) w.write_u64(n);
+    w.write_payload(seq_sent_);
+    w.write_payload(seq_received_);
     for (const Plant& p : plants_) {
       w.write_f64(p.active_servers);
       w.write_f64(p.cap_frac);
       w.write_f64(p.setpoint_c);
       w.write_u8(p.paused ? 1 : 0);
       w.write_u64(p.rng_ctr);
-      w.write_u64(p.epochs);
-      w.write_f64(p.demand_total);
-      w.write_f64(p.served_total);
-      w.write_u64(p.sla_violation_epochs);
-      w.write_u64(p.thermal_alarm_epochs);
-      w.write_f64(p.max_temp_c);
-      w.write_f64(p.prefault_demand);
-      w.write_f64(p.prefault_served);
-      w.write_f64(p.end_demand);
-      w.write_f64(p.end_served);
+      w.write_u64(p.stats.epochs);
+      w.write_f64(p.stats.demand_total);
+      w.write_f64(p.stats.served_total);
+      w.write_u64(p.stats.sla_violation_epochs);
+      w.write_u64(p.stats.thermal_alarm_epochs);
+      w.write_f64(p.stats.max_temp_c);
+      w.write_f64(p.stats.prefault_demand);
+      w.write_f64(p.stats.prefault_served);
+      w.write_f64(p.stats.end_demand);
+      w.write_f64(p.stats.end_served);
     }
     for (const auto& e : endpoints_) {
       w.write_u64(e->hb_token_floor);
@@ -308,22 +337,29 @@ class ControlWorld {
     require(r.read_u64() == shards_,
             "control snapshot shard count does not match the config");
     for (std::uint64_t& n : sent_per_shard_) n = r.read_u64();
+    for (std::uint64_t& n : received_per_shard_) n = r.read_u64();
+    for (std::uint64_t& n : fifo_breaks_per_shard_) n = r.read_u64();
+    seq_sent_ = r.read_payload();
+    seq_received_ = r.read_payload();
+    require(seq_sent_.size() == config_.dcs * config_.dcs &&
+                seq_received_.size() == config_.dcs * config_.dcs,
+            "control snapshot sequence tables do not match the fleet size");
     for (Plant& p : plants_) {
       p.active_servers = r.read_f64();
       p.cap_frac = r.read_f64();
       p.setpoint_c = r.read_f64();
       p.paused = r.read_u8() != 0;
       p.rng_ctr = r.read_u64();
-      p.epochs = r.read_u64();
-      p.demand_total = r.read_f64();
-      p.served_total = r.read_f64();
-      p.sla_violation_epochs = r.read_u64();
-      p.thermal_alarm_epochs = r.read_u64();
-      p.max_temp_c = r.read_f64();
-      p.prefault_demand = r.read_f64();
-      p.prefault_served = r.read_f64();
-      p.end_demand = r.read_f64();
-      p.end_served = r.read_f64();
+      p.stats.epochs = r.read_u64();
+      p.stats.demand_total = r.read_f64();
+      p.stats.served_total = r.read_f64();
+      p.stats.sla_violation_epochs = r.read_u64();
+      p.stats.thermal_alarm_epochs = r.read_u64();
+      p.stats.max_temp_c = r.read_f64();
+      p.stats.prefault_demand = r.read_f64();
+      p.stats.prefault_served = r.read_f64();
+      p.stats.end_demand = r.read_f64();
+      p.stats.end_served = r.read_f64();
     }
     for (auto& e : endpoints_) {
       e->hb_token_floor = r.read_u64();
@@ -349,19 +385,9 @@ class ControlWorld {
     double prefault_demand = 0.0, prefault_served = 0.0;
     double end_demand = 0.0, end_served = 0.0;
     for (std::size_t d = 0; d < config_.dcs; ++d) {
-      const Plant& p = plants_[d];
       const Endpoint& e = *endpoints_[d];
       ControlDcOutcome& o = out.dcs[d];
-      o.epochs = p.epochs;
-      o.demand_total = p.demand_total;
-      o.served_total = p.served_total;
-      o.sla_violation_epochs = p.sla_violation_epochs;
-      o.thermal_alarm_epochs = p.thermal_alarm_epochs;
-      o.max_temp_c = p.max_temp_c;
-      o.prefault_demand = p.prefault_demand;
-      o.prefault_served = p.prefault_served;
-      o.end_demand = p.end_demand;
-      o.end_served = p.end_served;
+      o = plants_[d].stats;
       o.commands_applied = e.ledger.applied();
       o.fencing_rejections = e.plane.fencing_rejections();
       o.stale_rejected = e.ledger.rejected_stale();
@@ -372,10 +398,10 @@ class ControlWorld {
       out.max_token = std::max(out.max_token, e.ledger.max_token());
       out.total_sla_violations += o.sla_violation_epochs;
       out.total_alarms += o.thermal_alarm_epochs;
-      prefault_demand += p.prefault_demand;
-      prefault_served += p.prefault_served;
-      end_demand += p.end_demand;
-      end_served += p.end_served;
+      prefault_demand += o.prefault_demand;
+      prefault_served += o.prefault_served;
+      end_demand += o.end_demand;
+      end_served += o.end_served;
 
       ControlReplicaOutcome& ro = out.replicas[d];
       if (replicas_[d] != nullptr) {
@@ -396,6 +422,13 @@ class ControlWorld {
     out.final_now_s = fed_.now();
     out.final_pending = fed_.pending();
     for (const std::uint64_t n : sent_per_shard_) out.control_messages += n;
+    for (const std::uint64_t n : received_per_shard_) {
+      out.messages_received += n;
+    }
+    out.fifo_ok = true;
+    for (const std::uint64_t n : fifo_breaks_per_shard_) {
+      if (n != 0) out.fifo_ok = false;
+    }
     out.fleet_prefault_frac =
         prefault_demand > 0.0 ? prefault_served / prefault_demand : 0.0;
     out.fleet_end_frac = end_demand > 0.0 ? end_served / end_demand : 0.0;
@@ -427,7 +460,8 @@ class ControlWorld {
       if (o.served_total > o.demand_total + 1e-9) fractions_ok = false;
     }
     out.conservation_ok = fractions_ok && out.final_pending == 0 &&
-                          fed_.messages_parked() == 0;
+                          fed_.messages_parked() == 0 &&
+                          out.messages_received == out.control_messages;
     std::ostringstream os;
     os << "prefault_frac=" << out.fleet_prefault_frac
        << " end_frac=" << out.fleet_end_frac
@@ -448,27 +482,18 @@ class ControlWorld {
     double setpoint_c = 22.0;
     bool paused = false;
     std::uint64_t rng_ctr = 0;
-    std::uint64_t epochs = 0;
-    double demand_total = 0.0;
-    double served_total = 0.0;
-    std::uint64_t sla_violation_epochs = 0;
-    std::uint64_t thermal_alarm_epochs = 0;
-    double max_temp_c = 0.0;
-    double prefault_demand = 0.0;
-    double prefault_served = 0.0;
-    double end_demand = 0.0;
-    double end_served = 0.0;
+    /// Plant-side accounting; finish() adds the actuator-ledger fields.
+    ControlDcOutcome stats;
   };
 
   /// Actuator-side state at one DC: the fenced plane, the ledger, and the
-  /// dead-man watchdog. The plane's applier writes the owning world's plant
-  /// (wired by the world after construction via set_applier).
+  /// dead-man watchdog. The plane's applier (set by the world) writes the
+  /// DC's plant.
   struct Endpoint {
-    Endpoint(const ControlChaosConfig& c, std::size_t dc)
+    explicit Endpoint(const ControlChaosConfig& c)
         : ledger(c.fencing),
           deadman(c.deadman ? c.deadman_ttl_s : 0.0),
           plane(sensing::ActuatorPlaneConfig{}) {
-      (void)dc;
       plane.set_fencing(&ledger);
     }
     sensing::FencingLedger ledger;
@@ -480,16 +505,21 @@ class ControlWorld {
 
   std::size_t shard_of(std::size_t dc) const { return dc / dcs_per_shard_; }
 
-  /// Routes one control message with the per-source delay stagger: arrivals
-  /// from different source DCs can never tie at one timestamp, so handler
-  /// order — and therefore the whole world — is shard-mapping invariant.
-  /// Same-shard sends go through the destination kernel directly because
-  /// federation loopback would deliver immediately instead of after the
-  /// delay. The send counter is per source shard: during a window only the
-  /// owning shard's worker touches its slot.
+  /// The one send point. Routes a control message with the per-source delay
+  /// stagger: arrivals from different source DCs can never tie at one
+  /// timestamp, so handler order — and therefore the whole world — is
+  /// shard-mapping invariant. Same-shard sends go through the destination
+  /// kernel directly because federation loopback would deliver immediately
+  /// instead of after the delay. The payload is prefixed with {dst, src,
+  /// seq}, seq the next number on the (src, dst) pair. The sequence row and
+  /// the send counter belong to the source shard: during a window only the
+  /// owning shard's worker touches them.
   void route(std::size_t src_dc, std::size_t dst_dc, double now_s,
-             std::uint64_t tag, sim::TagPayload payload) {
+             std::uint64_t tag, const sim::TagPayload& body) {
     ++sent_per_shard_[shard_of(src_dc)];
+    const std::uint64_t seq = ++seq_sent_[src_dc * config_.dcs + dst_dc];
+    sim::TagPayload payload{dst_dc, src_dc, seq};
+    payload.insert(payload.end(), body.begin(), body.end());
     const double delay =
         config_.lookahead_s *
         (1.0 + static_cast<double>(src_dc + 1) * 0x1.0p-20);
@@ -500,6 +530,23 @@ class ControlWorld {
     } else {
       fed_.send_tagged(ss, ds, delay, tag, std::move(payload));
     }
+  }
+
+  /// The one delivery point: counts the receive and checks the sequence
+  /// against the last one seen on the (src, dst) pair. Everything it writes
+  /// belongs to the destination shard. Returns the destination DC.
+  std::size_t receive(const sim::TagPayload& p) {
+    require(p.size() >= kHeaderWords, "control message is missing its header");
+    const auto dst = static_cast<std::size_t>(p[0]);
+    const auto src = static_cast<std::size_t>(p[1]);
+    require(dst < config_.dcs && src < config_.dcs,
+            "control message names an unknown datacenter");
+    const std::size_t shard = shard_of(dst);
+    ++received_per_shard_[shard];
+    std::uint64_t& last = seq_received_[dst * config_.dcs + src];
+    if (p[2] != last + 1) ++fifo_breaks_per_shard_[shard];
+    last = p[2];
+    return dst;
   }
 
   void apply_to_plant(std::size_t d, const sensing::ActuatorCommand& c) {
@@ -540,23 +587,14 @@ class ControlWorld {
       for (const macro::Outbound& msg : replicas_[d]->tick(now)) {
         switch (msg.kind) {
           case macro::OutboundKind::kHeartbeat:
-            route(d, msg.dst, now, kHbTag,
-                  {msg.dst, msg.token, msg.from});
+            route(d, msg.dst, now, kHbTag, {msg.token, msg.from});
             break;
-          case macro::OutboundKind::kCommand: {
-            sim::TagPayload p{msg.dst};
-            const sim::TagPayload body = macro::encode_command(msg.cmd);
-            p.insert(p.end(), body.begin(), body.end());
-            route(d, msg.dst, now, kCmdTag, std::move(p));
+          case macro::OutboundKind::kCommand:
+            route(d, msg.dst, now, kCmdTag, macro::encode_command(msg.cmd));
             break;
-          }
-          case macro::OutboundKind::kJournalRecord: {
-            sim::TagPayload p{msg.dst};
-            const sim::TagPayload body = macro::encode_command(msg.cmd);
-            p.insert(p.end(), body.begin(), body.end());
-            route(d, msg.dst, now, kJrnTag, std::move(p));
+          case macro::OutboundKind::kJournalRecord:
+            route(d, msg.dst, now, kJrnTag, macro::encode_command(msg.cmd));
             break;
-          }
         }
       }
     }
@@ -566,7 +604,8 @@ class ControlWorld {
     e.plane.tick(now);
 
     Plant& p = plants_[d];
-    ++p.epochs;
+    ControlDcOutcome& st = p.stats;
+    ++st.epochs;
     const double u = u01(config_.seed, d, p.rng_ctr++);
     const double base = now < config_.demand_rise_s ? config_.base_demand_rps
                                                     : config_.peak_demand_rps;
@@ -580,18 +619,18 @@ class ControlWorld {
     const double temp =
         p.setpoint_c +
         config_.temp_util_gain_c * std::min(util, config_.util_cap);
-    p.demand_total += demand;
-    p.served_total += served;
-    if (served < demand - 1e-9) ++p.sla_violation_epochs;
-    if (temp > config_.alarm_temp_c) ++p.thermal_alarm_epochs;
-    p.max_temp_c = std::max(p.max_temp_c, temp);
+    st.demand_total += demand;
+    st.served_total += served;
+    if (served < demand - 1e-9) ++st.sla_violation_epochs;
+    if (temp > config_.alarm_temp_c) ++st.thermal_alarm_epochs;
+    st.max_temp_c = std::max(st.max_temp_c, temp);
     if (now < config_.prefault_until_s) {
-      p.prefault_demand += demand;
-      p.prefault_served += served;
+      st.prefault_demand += demand;
+      st.prefault_served += served;
     }
     if (now >= config_.drive_until_s - config_.end_window_s) {
-      p.end_demand += demand;
-      p.end_served += served;
+      st.end_demand += demand;
+      st.end_served += served;
     }
     const double next = now + config_.epoch_s;
     if (next < config_.drive_until_s) {
@@ -614,18 +653,20 @@ class ControlWorld {
   }
 
   void on_command(std::size_t d, const sim::TagPayload& p, double now) {
-    require(p.size() == 8, "control command message must be 8 words");
-    const macro::ControlCommand cmd =
-        macro::decode_command(sim::TagPayload(p.begin() + 1, p.end()));
+    require(p.size() == kHeaderWords + 7,
+            "control command message must be 7 words after the header");
+    const macro::ControlCommand cmd = macro::decode_command(
+        sim::TagPayload(p.begin() + kHeaderWords, p.end()));
     Endpoint& e = *endpoints_[d];
     e.plane.issue_fenced(to_actuator_command(cmd), now, cmd.token, cmd.uid);
   }
 
   void on_journal(std::size_t d, const sim::TagPayload& p) {
-    require(p.size() == 8, "journal record message must be 8 words");
+    require(p.size() == kHeaderWords + 7,
+            "journal record message must be 7 words after the header");
     if (replicas_[d] == nullptr) return;
-    replicas_[d]->on_journal_record(
-        macro::decode_command(sim::TagPayload(p.begin() + 1, p.end())));
+    replicas_[d]->on_journal_record(macro::decode_command(
+        sim::TagPayload(p.begin() + kHeaderWords, p.end())));
   }
 
   void on_ctl_fault(std::size_t d, CtlFaultAction action, double now) {
@@ -648,145 +689,101 @@ class ControlWorld {
   }
 
   const ControlChaosConfig config_;
-  sim::ShardedSimulator& fed_;
+  sim::ShardedSimulator fed_;
   std::size_t shards_;
   std::size_t dcs_per_shard_;
   std::vector<Plant> plants_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::vector<std::unique_ptr<macro::ControllerReplica>> replicas_;
   std::vector<std::unique_ptr<sim::TaggedKernel>> kernels_;
-  /// World-level sends, one slot per source shard (window-race-free).
+  /// seq_sent_[src * dcs + dst]: last sequence stamped on the pair (row
+  /// owned by src's shard); seq_received_[dst * dcs + src]: last sequence
+  /// delivered on it (row owned by dst's shard).
+  std::vector<std::uint64_t> seq_sent_;
+  std::vector<std::uint64_t> seq_received_;
+  /// World-level sends and deliveries, one slot per shard (sends by source,
+  /// deliveries and out-of-order arrivals by destination): window-race-free.
   std::vector<std::uint64_t> sent_per_shard_;
-
- public:
-  /// Wires each endpoint's actuator plane into its plant. Separate from the
-  /// constructor so `this` is fully formed.
-  void wire_appliers() {
-    for (std::size_t d = 0; d < config_.dcs; ++d) {
-      endpoints_[d]->plane.set_applier(
-          [this, d](const sensing::ActuatorCommand& c) {
-            apply_to_plant(d, c);
-            return true;
-          });
-    }
-  }
+  std::vector<std::uint64_t> received_per_shard_;
+  std::vector<std::uint64_t> fifo_breaks_per_shard_;
 };
-
-ControlChaosOutcome run_world(const ControlChaosConfig& config,
-                              const network::InterDcLinkPlan* plan) {
-  validate(config);
-  if (plan != nullptr) {
-    require(effective_shards(config) == config.dcs,
-            "control chaos: a link plan requires shards == dcs");
-    require(plan->site_count() == config.dcs,
-            "control chaos: link plan site count must equal dcs");
-  }
-  sim::ShardedSimulator fed(make_sharded_config(config));
-  if (plan != nullptr) fed.set_link_plan(plan);
-  ControlWorld world(config, fed);
-  world.wire_appliers();
-  world.arm();
-  fed.run_until(config.horizon_s);
-  return world.finish();
-}
 
 }  // namespace
 
-bool control_outcomes_equal(const ControlChaosOutcome& a,
-                            const ControlChaosOutcome& b) {
-  if (a.dcs.size() != b.dcs.size() || a.replicas.size() != b.replicas.size()) {
-    return false;
-  }
-  for (std::size_t d = 0; d < a.dcs.size(); ++d) {
-    const ControlDcOutcome& x = a.dcs[d];
-    const ControlDcOutcome& y = b.dcs[d];
-    const bool same =
-        x.epochs == y.epochs && x.demand_total == y.demand_total &&
-        x.served_total == y.served_total &&
-        x.sla_violation_epochs == y.sla_violation_epochs &&
-        x.thermal_alarm_epochs == y.thermal_alarm_epochs &&
-        x.max_temp_c == y.max_temp_c &&
-        x.prefault_demand == y.prefault_demand &&
-        x.prefault_served == y.prefault_served &&
-        x.end_demand == y.end_demand && x.end_served == y.end_served &&
-        x.commands_applied == y.commands_applied &&
-        x.fencing_rejections == y.fencing_rejections &&
-        x.stale_rejected == y.stale_rejected &&
-        x.double_actuations == y.double_actuations &&
-        x.stale_applied == y.stale_applied &&
-        x.safe_state_trips == y.safe_state_trips &&
-        x.heartbeats_seen == y.heartbeats_seen;
-    if (!same) return false;
-  }
-  for (std::size_t d = 0; d < a.replicas.size(); ++d) {
-    const ControlReplicaOutcome& x = a.replicas[d];
-    const ControlReplicaOutcome& y = b.replicas[d];
-    const bool same =
-        x.hosted == y.hosted && x.claims == y.claims &&
-        x.depositions == y.depositions && x.crashes == y.crashes &&
-        x.stale_heartbeats == y.stale_heartbeats &&
-        x.commands_issued == y.commands_issued &&
-        x.commands_replayed == y.commands_replayed &&
-        x.journal_entries == y.journal_entries &&
-        x.journal_rejected_stale == y.journal_rejected_stale &&
-        x.final_max_token == y.final_max_token &&
-        x.claimed_tokens == y.claimed_tokens;
-    if (!same) return false;
-  }
-  return a.final_now_s == b.final_now_s &&
-         a.final_pending == b.final_pending &&
-         a.control_messages == b.control_messages &&
-         a.max_token == b.max_token &&
-         a.lease_unique_ok == b.lease_unique_ok &&
-         a.fencing_clean == b.fencing_clean &&
-         a.fleet_prefault_frac == b.fleet_prefault_frac &&
-         a.fleet_end_frac == b.fleet_end_frac &&
-         a.total_sla_violations == b.total_sla_violations &&
-         a.total_alarms == b.total_alarms &&
-         a.conservation_ok == b.conservation_ok && a.report == b.report;
-}
-
 ControlChaosOutcome run_control_plane(const ControlChaosConfig& config,
                                       const network::InterDcLinkPlan* plan) {
-  return run_world(config, plan);
+  ControlWorld world(config, plan);
+  world.arm();
+  world.fed().run_until(config.horizon_s);
+  return world.finish();
 }
 
 ControlRestoreReport run_control_plane_with_restore(
     const ControlChaosConfig& config, double snapshot_at_s, double kill_at_s) {
-  validate(config);
   require(snapshot_at_s > 0.0 && snapshot_at_s <= kill_at_s &&
               kill_at_s < config.horizon_s,
           "control restore drill requires 0 < snapshot_at <= kill_at < horizon");
   ControlRestoreReport rep;
-  rep.uninterrupted = run_world(config, nullptr);
+  rep.uninterrupted = run_control_plane(config);
 
   std::vector<std::uint8_t> snapshot;
   {
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ControlWorld world(config, fed);
-    world.wire_appliers();
+    ControlWorld world(config);
     world.arm();
-    fed.run_until(snapshot_at_s);
+    world.fed().run_until(snapshot_at_s);
     sim::SnapshotWriter w;
     world.save(w);
     snapshot = w.take();
-    fed.run_until(kill_at_s);
+    world.fed().run_until(kill_at_s);
     // "Kill": world and federation destroyed at scope exit; everything
     // after the snapshot is discarded.
   }
   rep.snapshot_bytes = snapshot.size();
 
   {
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ControlWorld world(config, fed);
-    world.wire_appliers();
+    ControlWorld world(config);
     sim::SnapshotReader r(snapshot);
     world.restore(r);
     require(r.at_end(), "control snapshot has trailing bytes");
-    fed.run_until(config.horizon_s);
+    world.fed().run_until(config.horizon_s);
     rep.restored = world.finish();
   }
-  rep.identical = control_outcomes_equal(rep.uninterrupted, rep.restored);
+  rep.identical = rep.uninterrupted == rep.restored;
+  return rep;
+}
+
+ControlPartitionReport run_control_partition_drill(
+    const ControlChaosConfig& config, double partition_at_s, double check_at_s,
+    double heal_at_s) {
+  require(config.dcs >= 2, "partition drill needs at least two datacenters");
+  require(effective_shards(config) == config.dcs,
+          "partition drill requires shards == dcs");
+  require(partition_at_s >= 0.0 && partition_at_s < check_at_s &&
+              check_at_s <= heal_at_s && heal_at_s < config.drive_until_s,
+          "partition drill requires partition < check <= heal < drive_until");
+
+  network::InterDcLinkPlan plan(config.dcs);
+  plan.partition(0, 1, partition_at_s);
+  ControlWorld world(config, &plan);
+  world.arm();
+  sim::ShardedSimulator& fed = world.fed();
+  fed.run_until(check_at_s);
+
+  ControlPartitionReport rep;
+  rep.parked_at_check = fed.messages_parked();
+  rep.parked_seen = rep.parked_at_check > 0;
+  plan.heal(0, 1, heal_at_s);
+  fed.run_until(config.horizon_s);
+
+  rep.outcome = world.finish();
+  rep.redelivered = fed.messages_redelivered();
+  rep.drained = fed.messages_parked() == 0 && rep.outcome.final_pending == 0;
+  rep.zero_loss =
+      rep.outcome.messages_received == rep.outcome.control_messages;
+  rep.fifo_ok = rep.outcome.fifo_ok;
+  rep.passed = rep.parked_seen && rep.drained && rep.zero_loss &&
+               rep.fifo_ok && rep.outcome.fencing_clean &&
+               rep.outcome.lease_unique_ok;
   return rep;
 }
 
@@ -812,15 +809,12 @@ ControlLeaderKillReport run_leader_kill_drill(std::size_t dcs,
   const network::InterDcLinkPlan* plan_ptr =
       with_partition ? &plan : nullptr;
 
-  ControlChaosConfig defended = base;
-  if (with_partition) defended.shards = dcs;
-  rep.defended = run_control_plane(defended, plan_ptr);
+  rep.defended = run_control_plane(base, plan_ptr);
 
   ControlChaosConfig naive = base;
   naive.replicated = false;
   naive.fencing = false;
   naive.deadman = false;
-  if (with_partition) naive.shards = dcs;
   rep.naive = run_control_plane(naive, plan_ptr);
 
   const auto goodput_ok = [&rep](const ControlChaosOutcome& o) {

@@ -32,6 +32,11 @@
 //     actuator state all serialize through sim/snapshot.h; a run restored
 //     mid-failover must finish bit-identical to the uninterrupted one.
 //
+//   * partition drill — an open partition on one inter-DC link parks the
+//     control traffic in the federation mailbox; after heal the backlog
+//     drains with zero message loss and per-pair FIFO order intact, and
+//     the lease/fencing invariants hold through the cut.
+//
 // Determinism: all control messages travel the federation's tagged-message
 // path with a per-source-DC delay stagger (lookahead * (1 + (src+1) *
 // 2^-20)), so deliveries from different sources never tie at one timestamp
@@ -132,6 +137,8 @@ struct ControlDcOutcome {
   std::uint64_t stale_applied = 0;      ///< nonzero only with fencing off
   std::uint64_t safe_state_trips = 0;
   std::uint64_t heartbeats_seen = 0;
+
+  bool operator==(const ControlDcOutcome&) const = default;
 };
 
 struct ControlReplicaOutcome {
@@ -146,6 +153,8 @@ struct ControlReplicaOutcome {
   std::uint64_t journal_rejected_stale = 0;
   std::uint64_t final_max_token = 0;
   std::vector<std::uint64_t> claimed_tokens;
+
+  bool operator==(const ControlReplicaOutcome&) const = default;
 };
 
 struct ControlChaosOutcome {
@@ -154,6 +163,9 @@ struct ControlChaosOutcome {
   double final_now_s = 0.0;
   std::size_t final_pending = 0;
   std::uint64_t control_messages = 0;  ///< world-level sends (shard-invariant)
+  std::uint64_t messages_received = 0;  ///< world-level deliveries
+  /// Every delivery carried the next per-(src DC, dst DC) sequence number.
+  bool fifo_ok = false;
   std::uint64_t max_token = 0;         ///< highest fencing token fleet-wide
   /// Claimed lease tokens are globally unique and every token t claimed by
   /// replica r satisfies t % replicas == r — at most one live lease per
@@ -165,13 +177,15 @@ struct ControlChaosOutcome {
   double fleet_end_frac = 0.0;       ///< served/demand in the end window
   std::uint64_t total_sla_violations = 0;
   std::uint64_t total_alarms = 0;
+  /// Served <= demand everywhere, nothing pending or parked, and every
+  /// sent message was received.
   bool conservation_ok = false;
   std::string report;
-};
 
-/// Exact equality — the conformance and restore drills demand bit-identical.
-bool control_outcomes_equal(const ControlChaosOutcome& a,
-                            const ControlChaosOutcome& b);
+  /// Exact equality — the conformance and restore drills demand
+  /// bit-identical.
+  bool operator==(const ControlChaosOutcome&) const = default;
+};
 
 /// Uninterrupted run. `plan` (optional, non-owning) degrades inter-DC links
 /// and requires shards == dcs (the link plan is indexed by shard).
@@ -179,9 +193,10 @@ ControlChaosOutcome run_control_plane(
     const ControlChaosConfig& config,
     const network::InterDcLinkPlan* plan = nullptr);
 
-/// Save/restore drill (mirrors chaos_fleet): snapshot at a barrier, run on,
-/// destroy everything, rebuild from config, restore, finish — the restored
-/// outcome must equal the uninterrupted one exactly.
+/// Save/restore drill: snapshot at a barrier, run on, destroy everything,
+/// rebuild from config, restore, finish — the restored outcome must equal
+/// the uninterrupted one exactly. Requires 0 < snapshot_at_s <= kill_at_s <
+/// horizon_s.
 struct ControlRestoreReport {
   ControlChaosOutcome uninterrupted;
   ControlChaosOutcome restored;
@@ -190,6 +205,25 @@ struct ControlRestoreReport {
 };
 ControlRestoreReport run_control_plane_with_restore(
     const ControlChaosConfig& config, double snapshot_at_s, double kill_at_s);
+
+/// Partition drill: cuts the 0 -> 1 link over [partition_at_s, inf) on a
+/// shards == dcs world, runs to check_at_s (expects parked messages), heals
+/// at heal_at_s (>= check_at_s, before drive_until_s so the backlog lands
+/// while the world still runs), runs to the horizon, and verifies the
+/// backlog drained with zero loss, FIFO intact, and clean leases/fencing.
+struct ControlPartitionReport {
+  ControlChaosOutcome outcome;
+  std::uint64_t parked_at_check = 0;  ///< messages parked mid-partition
+  std::uint64_t redelivered = 0;
+  bool parked_seen = false;  ///< the partition actually parked something
+  bool drained = false;      ///< nothing parked or pending at the horizon
+  bool zero_loss = false;    ///< messages received == messages sent
+  bool fifo_ok = false;
+  bool passed = false;  ///< all of the above, fencing clean, lease unique
+};
+ControlPartitionReport run_control_partition_drill(
+    const ControlChaosConfig& config, double partition_at_s, double check_at_s,
+    double heal_at_s);
 
 /// The reference leader-kill drill: defended (replicas + fencing + journal
 /// + dead-man) vs naive (single controller, no defenses) under a permanent

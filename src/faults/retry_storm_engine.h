@@ -66,6 +66,48 @@ inline double retry_storm_window_mean(const std::vector<double>& series,
   return sum / static_cast<double>(end - lo);
 }
 
+/// Recovery verdict over per-epoch rate series (req/s), shared by the
+/// single-datacenter and fleet storms.
+struct RetryStormRecovery {
+  double prefault_goodput_rps = 0.0;
+  bool recovered = false;
+  double recovery_s = 0.0;  ///< first healthy-run end minus clear_s
+  double end_offered_rps = 0.0;
+  double end_goodput_rps = 0.0;
+};
+
+/// Pre-fault SLA basis: steady-state goodput over the half of the warm
+/// period closest to the outage. Recovery: the first run of `window`
+/// consecutive healthy epochs (goodput >= sla_fraction of the basis,
+/// failures within the rest) after the fault clears at `clear_s`. End:
+/// trailing-window means over the last `window` epochs.
+inline RetryStormRecovery retry_storm_recovery(
+    const std::vector<double>& offered, const std::vector<double>& goodput,
+    const std::vector<double>& failure, std::size_t epochs, double dt,
+    std::size_t outage_start_epoch, double clear_s, std::size_t window,
+    double sla_fraction) {
+  RetryStormRecovery r;
+  r.prefault_goodput_rps = retry_storm_window_mean(
+      goodput, outage_start_epoch, outage_start_epoch - outage_start_epoch / 2);
+  const double sla_rps = sla_fraction * r.prefault_goodput_rps;
+  const double fail_budget_rps = (1.0 - sla_fraction) * r.prefault_goodput_rps;
+  const auto clear_epoch =
+      std::min(epochs, static_cast<std::size_t>(std::ceil(clear_s / dt)));
+  std::size_t healthy_run = 0;
+  for (std::size_t e = clear_epoch; e < epochs && !r.recovered; ++e) {
+    const bool healthy =
+        goodput[e] >= sla_rps && failure[e] <= fail_budget_rps;
+    healthy_run = healthy ? healthy_run + 1 : 0;
+    if (healthy_run >= window) {
+      r.recovered = true;
+      r.recovery_s = static_cast<double>(e + 1) * dt - clear_s;
+    }
+  }
+  r.end_offered_rps = retry_storm_window_mean(offered, epochs, window);
+  r.end_goodput_rps = retry_storm_window_mean(goodput, epochs, window);
+  return r;
+}
+
 template <typename Population>
 class RetryStormEngine {
  public:
@@ -306,35 +348,15 @@ class RetryStormEngine {
   /// Post-loop summary: recovery scan, metastability verdict, ledger
   /// copy-out. Call exactly once, after end_epoch(epochs() - 1).
   RetryStormOutcome finish() {
-    const auto window = config_.recovery_window_epochs;
-
-    // Pre-fault SLA basis: steady-state goodput over the half of the warm
-    // period closest to the outage.
-    out_.prefault_goodput_rps =
-        retry_storm_window_mean(goodput_rate_, outage_start_epoch_,
-                                outage_start_epoch_ - outage_start_epoch_ / 2);
-    const double sla_rps =
-        config_.sla_goodput_fraction * out_.prefault_goodput_rps;
-    const double fail_budget_rps =
-        (1.0 - config_.sla_goodput_fraction) * out_.prefault_goodput_rps;
-
-    // Recovery: the first run of `window` consecutive healthy epochs after
-    // the outage clears.
-    const auto clear_epoch = std::min(
-        epochs_, static_cast<std::size_t>(std::ceil(outage_end_s_ / dt_)));
-    std::size_t healthy_run = 0;
-    for (std::size_t e = clear_epoch; e < epochs_ && !out_.recovered; ++e) {
-      const bool healthy = goodput_rate_[e] >= sla_rps &&
-                           failure_rate_[e] <= fail_budget_rps;
-      healthy_run = healthy ? healthy_run + 1 : 0;
-      if (healthy_run >= window) {
-        out_.recovered = true;
-        out_.recovery_s = static_cast<double>(e + 1) * dt_ - outage_end_s_;
-      }
-    }
-
-    out_.end_offered_rps = retry_storm_window_mean(offered_rate_, epochs_, window);
-    out_.end_goodput_rps = retry_storm_window_mean(goodput_rate_, epochs_, window);
+    const RetryStormRecovery rec = retry_storm_recovery(
+        offered_rate_, goodput_rate_, failure_rate_, epochs_, dt_,
+        outage_start_epoch_, outage_end_s_, config_.recovery_window_epochs,
+        config_.sla_goodput_fraction);
+    out_.prefault_goodput_rps = rec.prefault_goodput_rps;
+    out_.recovered = rec.recovered;
+    out_.recovery_s = rec.recovery_s;
+    out_.end_offered_rps = rec.end_offered_rps;
+    out_.end_goodput_rps = rec.end_goodput_rps;
     out_.end_interactive_capacity_rps = interactive_capacity_rps_;
     out_.metastable = !out_.recovered &&
                       out_.end_offered_rps > out_.end_interactive_capacity_rps;

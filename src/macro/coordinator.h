@@ -60,6 +60,14 @@ struct MacroManagerConfig {
   sensing::EstimatorConfig estimator;
 };
 
+/// Applies one actuator command to the facility: fleet size (surplus
+/// servers parked in sleep states when `use_sleep`, else switched off),
+/// P-state or power cap, CRAC supply/return setpoints, and zone shares;
+/// consolidation pauses are acknowledged. Returns false for an unknown kind.
+bool apply_facility_command(Facility& facility,
+                            const sensing::ActuatorCommand& command,
+                            bool use_sleep);
+
 /// The manager never touches ground truth directly: every observation goes
 /// through a SensorPlane + ValidatedEstimator, and every command (fleet
 /// size, P-state, CRAC setpoint, power cap, zone share) is issued through an
@@ -96,7 +104,6 @@ class MacroResourceManager {
   void coordinate();
   sensing::Estimate estimate(sensing::ChannelKind kind, std::uint32_t index,
                              double truth, double now_s);
-  bool apply_command(const sensing::ActuatorCommand& command);
   void issue(sensing::CommandKind kind, std::size_t target, double value,
              std::vector<double> values = {});
 

@@ -92,11 +92,17 @@ void decode_values(BitReader& in, double* values, std::size_t n) {
     }
     std::uint64_t x = 0;
     if (!in.get_bit()) {
+      if (win_len == 0) {
+        throw CorruptBlockError("decode_values: window reuse before any window");
+      }
       const unsigned win_trail = 64 - win_lead - win_len;
       x = in.get(win_len) << win_trail;
     } else {
       const unsigned lead = static_cast<unsigned>(in.get(5));
       const unsigned len = static_cast<unsigned>(in.get(6)) + 1;
+      if (lead + len > 64) {
+        throw CorruptBlockError("decode_values: window wider than 64 bits");
+      }
       const unsigned trail = 64 - lead - len;
       x = in.get(len) << trail;
       win_lead = lead;

@@ -79,6 +79,15 @@ class EndOfStreamError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown by decode_values when a block's window fields are impossible: a
+/// new window whose leading-zero count plus length exceeds 64 bits, or a
+/// window-reuse bit before any window was set. Either can only come from a
+/// corrupted block; decoding it would shift a 64-bit word by >= 64 (UB).
+class CorruptBlockError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// MSB-first reader over a BitWriter stream. Reading past the last byte
 /// throws EndOfStreamError instead of inventing zero bits, so a truncated
 /// block cannot decode into plausible wrong values.
@@ -121,6 +130,7 @@ void encode_times(const double* times_s, std::size_t n, BitWriter& out);
 void decode_times(BitReader& in, double* times_s, std::size_t n);
 
 /// Encodes `n` values with the Gorilla XOR scheme; bit-exact decode.
+/// decode_values throws CorruptBlockError on impossible window fields.
 void encode_values(const double* values, std::size_t n, BitWriter& out);
 void decode_values(BitReader& in, double* values, std::size_t n);
 

@@ -1,7 +1,8 @@
 // The control-plane chaos harness end-to-end: clean no-fault runs, the
 // kill-the-leader drill (defended vs naive, with and without a WAN
-// partition), the split-brain drill, grid-script controller kills, and
-// mid-failover save/restore bit-identity.
+// partition), the split-brain drill, grid-script controller kills,
+// mid-failover save/restore bit-identity, and the per-pair FIFO / zero-loss
+// message accounting under open partitions and degraded links.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -59,7 +60,7 @@ TEST(ControlChaos, OutcomeIsBitIdenticalAcrossShardAndThreadCounts) {
       c.shards = shards;
       c.threads = threads;
       const ControlChaosOutcome out = run_control_plane(c);
-      EXPECT_TRUE(control_outcomes_equal(reference, out))
+      EXPECT_TRUE(reference == out)
           << "shards=" << shards << " threads=" << threads << "\nref: "
           << reference.report << "\ngot: " << out.report;
     }
@@ -201,6 +202,96 @@ TEST(ControlChaos, RejectsMalformedConfigurations) {
   EXPECT_THROW(run_control_plane(two_shards, &plan), std::invalid_argument);
 
   EXPECT_THROW(run_leader_kill_drill(2, 1, 1, false), std::invalid_argument);
+}
+
+TEST(ControlChaos, PlainRunDeliversEveryMessageInFifoOrder) {
+  const ControlChaosOutcome out = run_control_plane(base_config());
+  EXPECT_TRUE(out.fifo_ok);
+  EXPECT_GT(out.control_messages, 0U);
+  EXPECT_EQ(out.control_messages, out.messages_received);
+  EXPECT_EQ(0U, out.final_pending);
+  EXPECT_TRUE(out.conservation_ok) << out.report;
+}
+
+TEST(ControlChaos, PartitionDrillParksHealsAndLosesNothing) {
+  ControlChaosConfig config = base_config();
+  config.threads = 2;
+  const ControlPartitionReport r = run_control_partition_drill(
+      config, /*partition_at_s=*/8.0, /*check_at_s=*/14.0,
+      /*heal_at_s=*/16.0);
+  EXPECT_TRUE(r.parked_seen);
+  EXPECT_GT(r.parked_at_check, 0U);
+  EXPECT_TRUE(r.drained);
+  EXPECT_TRUE(r.zero_loss);
+  EXPECT_TRUE(r.fifo_ok);
+  EXPECT_TRUE(r.outcome.fencing_clean) << r.outcome.report;
+  EXPECT_TRUE(r.outcome.lease_unique_ok) << r.outcome.report;
+  EXPECT_TRUE(r.passed) << r.outcome.report;
+  EXPECT_TRUE(r.outcome.conservation_ok) << r.outcome.report;
+  EXPECT_EQ(r.outcome.control_messages, r.outcome.messages_received);
+  // The drill is deterministic at any thread count.
+  config.threads = 1;
+  const ControlPartitionReport serial = run_control_partition_drill(
+      config, /*partition_at_s=*/8.0, /*check_at_s=*/14.0,
+      /*heal_at_s=*/16.0);
+  EXPECT_TRUE(serial.outcome == r.outcome);
+  EXPECT_EQ(serial.parked_at_check, r.parked_at_check);
+}
+
+TEST(ControlChaos, DegradedLinksDelayButNeverLoseOrReorder) {
+  ControlChaosConfig config = base_config();
+  network::InterDcLinkPlan plan(config.dcs);
+  plan.slow(0, 1, 5.0, 12.0, 4.0);
+  plan.lose(0, 2, 6.0, 15.0, 0.6);
+  const ControlChaosOutcome degraded = run_control_plane(config, &plan);
+  EXPECT_TRUE(degraded.fifo_ok);
+  EXPECT_EQ(degraded.control_messages, degraded.messages_received);
+  EXPECT_TRUE(degraded.conservation_ok) << degraded.report;
+  EXPECT_TRUE(degraded.fencing_clean);
+  EXPECT_TRUE(degraded.lease_unique_ok);
+  // The plan had an effect: the delayed heartbeats changed the run.
+  EXPECT_FALSE(degraded == run_control_plane(config));
+}
+
+TEST(ControlChaos, SnapshotAtTheKillPointRestoresBitIdentical) {
+  // Snapshot and kill at the same barrier, the degenerate-but-legal case,
+  // on a threaded federation.
+  ControlChaosConfig config = base_config();
+  config.threads = 3;
+  config.controller_faults = make_leader_kill_plan();
+  const ControlRestoreReport rep =
+      run_control_plane_with_restore(config, /*snapshot_at_s=*/14.0,
+                                     /*kill_at_s=*/14.0);
+  EXPECT_TRUE(rep.identical)
+      << "uninterrupted: " << rep.uninterrupted.report
+      << "\nrestored: " << rep.restored.report;
+  EXPECT_TRUE(rep.restored.fifo_ok);
+}
+
+TEST(ControlChaos, DrillBoundsFailLoudly) {
+  // Restore drill: 0 < snapshot <= kill < horizon.
+  EXPECT_THROW(run_control_plane_with_restore(base_config(), 0.0, 16.0),
+               std::invalid_argument);
+  EXPECT_THROW(run_control_plane_with_restore(base_config(), 18.0, 16.0),
+               std::invalid_argument);
+  EXPECT_THROW(run_control_plane_with_restore(base_config(), 10.0, 42.0),
+               std::invalid_argument);
+  // Partition drill: partition < check <= heal < drive_until, on a
+  // shards == dcs world of at least two datacenters.
+  EXPECT_THROW(run_control_partition_drill(base_config(), 14.0, 8.0, 16.0),
+               std::invalid_argument);
+  EXPECT_THROW(run_control_partition_drill(base_config(), 8.0, 14.0, 12.0),
+               std::invalid_argument);
+  EXPECT_THROW(run_control_partition_drill(base_config(), 8.0, 14.0, 40.0),
+               std::invalid_argument);
+  ControlChaosConfig two_shards = base_config();
+  two_shards.shards = 2;
+  EXPECT_THROW(run_control_partition_drill(two_shards, 8.0, 14.0, 16.0),
+               std::invalid_argument);
+  ControlChaosConfig one_dc = base_config();
+  one_dc.dcs = 1;
+  EXPECT_THROW(run_control_partition_drill(one_dc, 8.0, 14.0, 16.0),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 // Property suite for deterministic checkpoint/restore (the robustness
-// acceptance grid): for every (seed, shard count, thread count) combination
-// the federated chaos world must (a) run bit-identically regardless of the
-// worker-thread count and (b) survive a mid-run kill-and-restore with a
-// bit-identical continuation.
+// acceptance grid), on the control-plane world under a permanent leader
+// death: for every (seed, shard count, thread count) combination the
+// 4-datacenter world must (a) run bit-identically regardless of the shard
+// and worker-thread count and (b) survive a mid-failover kill-and-restore
+// with a bit-identical continuation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "faults/chaos_fleet.h"
+#include "faults/control_chaos.h"
 
 namespace epm::faults {
 namespace {
@@ -18,17 +19,24 @@ constexpr std::uint64_t kSeeds[] = {1, 17, 424242};
 constexpr std::size_t kShards[] = {1, 2, 4};
 constexpr std::size_t kThreads[] = {1, 2, 8};
 
-ChaosFleetConfig grid_config(std::uint64_t seed, std::size_t shards,
-                             std::size_t threads) {
-  ChaosFleetConfig config;
-  config.dcs = shards;
+ControlChaosConfig grid_config(std::uint64_t seed, std::size_t shards,
+                               std::size_t threads) {
+  ControlChaosConfig config;
+  config.dcs = 4;
+  config.shards = shards;
   config.threads = threads;
-  config.epoch_s = 0.5;
-  config.drive_until_s = 16.0;
-  config.horizon_s = 24.0;
-  config.arrival_rate_rps = 100.0;
   config.seed = seed;
+  config.controller_faults = make_leader_kill_plan();
   return config;
+}
+
+/// Snapshot after the leader's death (13.25 s), before its successor's
+/// claim; kill a few epochs later.
+ControlRestoreReport restore_drill(std::uint64_t seed, std::size_t shards,
+                                   std::size_t threads) {
+  return run_control_plane_with_restore(grid_config(seed, shards, threads),
+                                        /*snapshot_at_s=*/14.0,
+                                        /*kill_at_s=*/16.5);
 }
 
 std::string label(std::uint64_t seed, std::size_t shards,
@@ -40,17 +48,18 @@ std::string label(std::uint64_t seed, std::size_t shards,
 
 TEST(SnapshotProperty, OutcomesAreThreadCountInvariant) {
   for (const std::uint64_t seed : kSeeds) {
+    const ControlChaosOutcome baseline =
+        run_control_plane(grid_config(seed, 1, 1));
+    EXPECT_TRUE(baseline.conservation_ok)
+        << label(seed, 1, 1) << ": " << baseline.report;
+    EXPECT_TRUE(baseline.fifo_ok) << label(seed, 1, 1);
     for (const std::size_t shards : kShards) {
-      const ChaosFleetOutcome baseline =
-          run_chaos_fleet(grid_config(seed, shards, 1));
-      EXPECT_TRUE(baseline.conservation_ok)
-          << label(seed, shards, 1) << ": " << baseline.conservation_report;
       for (const std::size_t threads : kThreads) {
-        const ChaosFleetOutcome out =
-            run_chaos_fleet(grid_config(seed, shards, threads));
-        EXPECT_TRUE(chaos_outcomes_equal(baseline, out))
+        const ControlChaosOutcome out =
+            run_control_plane(grid_config(seed, shards, threads));
+        EXPECT_TRUE(baseline == out)
             << label(seed, shards, threads)
-            << " diverged from the serial run";
+            << " diverged from the serial single-shard run";
       }
     }
   }
@@ -60,16 +69,13 @@ TEST(SnapshotProperty, KillAndRestoreIsBitIdenticalAcrossTheGrid) {
   for (const std::uint64_t seed : kSeeds) {
     for (const std::size_t shards : kShards) {
       for (const std::size_t threads : kThreads) {
-        const ChaosRestoreReport r = run_chaos_fleet_with_restore(
-            grid_config(seed, shards, threads), /*snapshot_at_s=*/8.0,
-            /*kill_at_s=*/12.0);
+        const ControlRestoreReport r = restore_drill(seed, shards, threads);
         EXPECT_TRUE(r.identical) << label(seed, shards, threads);
-        EXPECT_TRUE(chaos_outcomes_equal(r.uninterrupted, r.restored))
+        EXPECT_TRUE(r.uninterrupted == r.restored)
             << label(seed, shards, threads);
         EXPECT_GT(r.snapshot_bytes, 0U) << label(seed, shards, threads);
         EXPECT_TRUE(r.restored.conservation_ok)
-            << label(seed, shards, threads) << ": "
-            << r.restored.conservation_report;
+            << label(seed, shards, threads) << ": " << r.restored.report;
       }
     }
   }
@@ -78,13 +84,11 @@ TEST(SnapshotProperty, KillAndRestoreIsBitIdenticalAcrossTheGrid) {
 TEST(SnapshotProperty, SnapshotsAreSeedSensitive) {
   // Restore does not launder determinism: different seeds stay different
   // runs even through the snapshot path.
-  const ChaosRestoreReport a =
-      run_chaos_fleet_with_restore(grid_config(1, 2, 1), 8.0, 12.0);
-  const ChaosRestoreReport b =
-      run_chaos_fleet_with_restore(grid_config(17, 2, 1), 8.0, 12.0);
+  const ControlRestoreReport a = restore_drill(1, 2, 1);
+  const ControlRestoreReport b = restore_drill(17, 2, 1);
   EXPECT_TRUE(a.identical);
   EXPECT_TRUE(b.identical);
-  EXPECT_FALSE(chaos_outcomes_equal(a.restored, b.restored));
+  EXPECT_FALSE(a.restored == b.restored);
 }
 
 }  // namespace

@@ -164,6 +164,39 @@ TEST(TelemetryCompress, BitReaderThrowsAtEndOfStream) {
   EXPECT_THROW(short_word.get(64), EndOfStreamError);
 }
 
+TEST(TelemetryCompress, DecodeRejectsAWindowWiderThan64Bits) {
+  // Hand-built value stream: a seed value, then a new-window record whose
+  // lead (31) + length (64) exceeds the word. Decoding it would shift by
+  // 64 - 31 - 64 (wrapped) bits.
+  BitWriter writer;
+  writer.put(0x4045000000000000ull, 64);  // 42.0
+  writer.put_bit(true);                   // XOR is non-zero
+  writer.put_bit(true);                   // new window
+  writer.put(31, 5);                      // leading zeros
+  writer.put(63, 6);                      // length - 1 -> 64 bits
+  writer.put(~0ull, 64);                  // meaningful bits
+  const auto bytes = writer.finish();
+  BitReader reader(bytes);
+  std::vector<double> values(2);
+  EXPECT_THROW(decode_values(reader, values.data(), values.size()),
+               CorruptBlockError);
+}
+
+TEST(TelemetryCompress, DecodeRejectsWindowReuseBeforeAnyWindow) {
+  // Hand-built value stream: a seed value, then a window-reuse record
+  // although no window was ever set.
+  BitWriter writer;
+  writer.put(0x4045000000000000ull, 64);  // 42.0
+  writer.put_bit(true);                   // XOR is non-zero
+  writer.put_bit(false);                  // reuse the (unset) window
+  writer.put(0, 16);                      // bits a reader might consume
+  const auto bytes = writer.finish();
+  BitReader reader(bytes);
+  std::vector<double> values(2);
+  EXPECT_THROW(decode_values(reader, values.data(), values.size()),
+               CorruptBlockError);
+}
+
 TEST(TelemetryCompress, ConstantCadenceSeriesCompressesFarBelowRaw) {
   // 1024 identical values on a fixed 15 s cadence: after the two seed
   // samples, every timestamp is a predictor hit (1 bit) and every value an

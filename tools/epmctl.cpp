@@ -74,9 +74,9 @@ int cmd_help() {
                                                         exits non-zero on divergence.
                                                         --smoke = reduced CI population
   epmctl chaos        [--dcs N] [--clients N]           chaos drills: correlated regional
-                      [--threads T] [--seed S]          outage recovery gate, kill-and-
-                      [--script SPEC] [--smoke]         restore bit-identical continuation,
-                                                        partition/heal zero-loss drill
+                      [--threads T] [--seed S]          outage recovery gate, and the
+                      [--script SPEC] [--smoke]         control-plane partition/heal
+                                                        zero-loss FIFO drill
                                                         (SPEC: "outage:region/americas@
                                                         32+16;brownout:feed/grid-eu@...")
   epmctl telemetry    [--threads T] [--seed S] [--smoke] columnar telemetry firehose
@@ -821,22 +821,21 @@ int cmd_chaos(const CliArgs& args) {
   }
   std::cout << recovery.render();
 
-  // Drill 2: kill-and-restore at this thread count.
-  faults::ChaosFleetConfig chaos;
-  chaos.dcs = dcs;
-  chaos.threads = threads;
-  const auto restore = faults::run_chaos_fleet_with_restore(chaos, 20.0, 35.0);
-  std::cout << "  kill-and-restore: snapshot " << restore.snapshot_bytes
-            << " bytes, continuation "
-            << (restore.identical ? "bit-identical" : "DIVERGED") << "\n";
-
-  // Drill 3: partition, park, heal, drain.
-  const auto part = faults::run_chaos_partition_drill(chaos, 15.0, 30.0, 32.0);
+  // Drill 2: partition, park, heal, drain on the control-plane world.
+  faults::ControlChaosConfig control;
+  control.dcs = dcs;
+  control.threads = threads;
+  const auto part = faults::run_control_partition_drill(
+      control, /*partition_at_s=*/12.5, /*check_at_s=*/20.0,
+      /*heal_at_s=*/22.0);
   std::cout << "  partition drill:  " << part.parked_at_check
             << " parked at check, " << part.redelivered << " redelivered, "
             << (part.drained ? "drained" : "NOT DRAINED") << ", "
             << (part.zero_loss ? "zero loss" : "LOST MESSAGES") << ", FIFO "
-            << (part.fifo_ok ? "intact" : "BROKEN") << "\n";
+            << (part.fifo_ok ? "intact" : "BROKEN") << ", fencing "
+            << (part.outcome.fencing_clean ? "clean" : "DOUBLE-ACTUATED")
+            << ", lease "
+            << (part.outcome.lease_unique_ok ? "unique" : "DUPLICATED") << "\n";
 
   const bool ledgers = rec.defended.conservation_ok && rec.naive.conservation_ok;
   std::cout << "  recovery gate:    defended "
@@ -850,13 +849,11 @@ int cmd_chaos(const CliArgs& args) {
   if (!rec.gate_ok || !ledgers) {
     return conformance_fail("chaos recovery gate failed", seed, dcs, threads);
   }
-  if (!restore.identical) {
-    return conformance_fail("chaos restore continuation diverged", chaos.seed,
-                            dcs, threads);
-  }
   if (!part.passed) {
-    return conformance_fail("chaos partition drill lost or reordered messages",
-                            chaos.seed, dcs, threads);
+    return conformance_fail(
+        "chaos partition drill lost or reordered messages, or broke the "
+        "lease/fencing invariants",
+        control.seed, dcs, threads);
   }
   return 0;
 }
@@ -947,7 +944,7 @@ int cmd_controlplane(const CliArgs& args) {
       c.threads = sweep_threads;
       const auto out = faults::run_control_plane(c);
       ++sweep_runs;
-      if (!faults::control_outcomes_equal(reference, out) ||
+      if (out != reference ||
           !out.lease_unique_ok || !out.fencing_clean || !out.conservation_ok) {
         sweep_ok = false;
         bad_shards = shards;
