@@ -7,6 +7,50 @@
 
 namespace epm::telemetry {
 
+std::int64_t LevelBins::bin_index(double time_s) const {
+  return static_cast<std::int64_t>(std::floor(time_s / spec.resolution_s));
+}
+
+namespace {
+
+/// Grows `lvl.bins` (padding with empties) so `bin` is addressable, and
+/// returns its dense index. Requires bin >= the last touched bin.
+std::size_t reserve_bin(LevelBins& lvl, std::int64_t bin) {
+  if (lvl.bins.empty()) {
+    lvl.first_bin = bin;
+    lvl.bins.emplace_back();
+  } else {
+    const std::int64_t last =
+        lvl.first_bin + static_cast<std::int64_t>(lvl.bins.size()) - 1;
+    ensure(bin >= last, "LevelBins: time went backwards within a level");
+    for (std::int64_t b = last; b < bin; ++b) lvl.bins.emplace_back();
+  }
+  return static_cast<std::size_t>(bin - lvl.first_bin);
+}
+
+}  // namespace
+
+void LevelBins::add(double time_s, double value) {
+  const std::size_t idx = reserve_bin(*this, bin_index(time_s));
+  bins[idx].add(value);
+  evict();
+}
+
+void LevelBins::evict() {
+  if (spec.retention_bins == 0) return;
+  while (bins.size() > spec.retention_bins) {
+    bins.pop_front();
+    ++first_bin;
+  }
+}
+
+std::vector<LevelBins> make_level_bins(const MultiScaleConfig& config) {
+  validate(config);
+  std::vector<LevelBins> levels;
+  for (const auto& spec : config.levels) levels.push_back(LevelBins{spec, 0, {}});
+  return levels;
+}
+
 MultiScaleSeries::MultiScaleSeries(MultiScaleConfig config)
     : levels_(make_level_bins(config)) {}
 

@@ -1,16 +1,38 @@
 // The per-sample multiscale cascade (paper §5.3): every append folds into
-// every level's LevelBins row at once. The columnar store replaced it with
-// block-seal banding over the same fold (telemetry/block.h); it stays here
-// as the oracle the block and store equivalence suites compare against.
+// every level's LevelBins row at once, so each series stores a full bin
+// pyramid. The columnar store (telemetry/block.h) stores no bins; it folds
+// them at query time from its compressed blocks. This cascade stays here as
+// the independent oracle the block and store equivalence suites compare
+// against.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "telemetry/multiscale.h"
 
 namespace epm::telemetry {
+
+/// One resolution level's dense bin row. Bin i covers [i*res, (i+1)*res);
+/// skipped bins are padded with empties so indexing stays dense; bins
+/// beyond retention are evicted (the data survives only in coarser levels).
+struct LevelBins {
+  LevelSpec spec{1.0, 0};
+  /// Index of the first retained bin.
+  std::int64_t first_bin = 0;
+  std::deque<Aggregate> bins;
+
+  std::int64_t bin_index(double time_s) const;
+  /// Left-folds one sample into its bin (padding forward as needed), then
+  /// evicts beyond retention.
+  void add(double time_s, double value);
+  void evict();
+};
+
+/// Validates `config` and returns one empty LevelBins row per level.
+std::vector<LevelBins> make_level_bins(const MultiScaleConfig& config);
 
 /// One counter's multi-resolution history. Samples must arrive with
 /// non-decreasing timestamps.

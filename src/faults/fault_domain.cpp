@@ -1,17 +1,14 @@
 #include "faults/fault_domain.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
 #include "core/require.h"
 #include "core/rng.h"
+#include "faults/text_tokens.h"
 
 namespace epm::faults {
 namespace {
@@ -25,56 +22,11 @@ const char* kKindTokens[kGridEventKindCount] = {"outage", "brownout",
                                                 "price-spike",
                                                 "demand-response", "ctl-kill"};
 
-std::string trim(const std::string& s) {
-  std::size_t lo = 0;
-  std::size_t hi = s.size();
-  while (lo < hi && std::isspace(static_cast<unsigned char>(s[lo]))) ++lo;
-  while (hi > lo && std::isspace(static_cast<unsigned char>(s[hi - 1]))) --hi;
-  return s.substr(lo, hi - lo);
-}
+using text::format_double;
+using text::trim;
 
-std::string format_double(double value) {
-  // Shortest representation that parses back to the same double (same
-  // contract as FaultPlan::to_string); "e+06" would collide with the
-  // '+duration' separator, so rewrite it as "e6".
-  const auto normalize = [](std::string text) {
-    const auto e = text.find("e+");
-    if (e != std::string::npos) {
-      std::size_t digits = e + 2;
-      while (digits + 1 < text.size() && text[digits] == '0') ++digits;
-      text = text.substr(0, e + 1) + text.substr(digits);
-    }
-    return text;
-  };
-  std::string best;
-  for (int precision : {6, 15, 16, 17}) {
-    std::ostringstream out;
-    out << std::setprecision(precision) << value;
-    best = normalize(out.str());
-    if (std::strtod(best.c_str(), nullptr) == value) {
-      return best;
-    }
-  }
-  return best;
-}
-
-double parse_number(const std::string& raw, const char* field,
-                    const std::string& entry) {
-  const std::string token = trim(raw);
-  if (token.empty()) {
-    throw std::invalid_argument(std::string("grid event has empty ") + field +
-                                " in '" + entry + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    throw std::invalid_argument(std::string("bad ") + field + " token '" +
-                                token + "' in grid event '" + entry + "'");
-  }
-  return value;
-}
+/// Names an entry in parse errors.
+constexpr const char* kEntryNoun = "grid event";
 
 void validate_event(const DomainFault& event) {
   if (!(event.start_s >= 0.0) || !std::isfinite(event.start_s)) {
@@ -363,14 +315,15 @@ DomainFaultPlan DomainFaultPlan::parse(const std::string& spec) {
       throw std::invalid_argument("grid event missing '+duration': '" + entry +
                                   "'");
     }
-    event.start_s = parse_number(tail.substr(0, plus), "start", entry);
+    event.start_s = text::parse_number(tail.substr(0, plus), "start", entry, kEntryNoun);
     std::string rest = tail.substr(plus + 1);
     const auto x = rest.find('x');
     if (x != std::string::npos) {
-      event.severity = parse_number(rest.substr(x + 1), "severity", entry);
+      event.severity =
+          text::parse_number(rest.substr(x + 1), "severity", entry, kEntryNoun);
       rest = rest.substr(0, x);
     }
-    event.duration_s = parse_number(rest, "duration", entry);
+    event.duration_s = text::parse_number(rest, "duration", entry, kEntryNoun);
     events.push_back(std::move(event));
   }
   return scripted(std::move(events));

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
 #include "core/rng.h"
+#include "faults/text_tokens.h"
 
 namespace epm::faults {
 namespace {
@@ -44,60 +43,11 @@ void sort_events(std::vector<FaultEvent>& events) {
             });
 }
 
-std::string trim(const std::string& s) {
-  std::size_t lo = 0;
-  std::size_t hi = s.size();
-  while (lo < hi && std::isspace(static_cast<unsigned char>(s[lo]))) ++lo;
-  while (hi > lo && std::isspace(static_cast<unsigned char>(s[hi - 1]))) --hi;
-  return s.substr(lo, hi - lo);
-}
+using text::format_double;
+using text::trim;
 
-std::string format_double(double value) {
-  // Shortest representation that parses back to the exact same double, so
-  // to_string() -> parse() round-trips fingerprint-equal even for sampled
-  // plans whose times carry full mantissas.
-  // A "+" inside scientific notation ("2e+06") would collide with the
-  // '+duration' separator on re-parse, so rewrite "e+06" as "e6".
-  const auto normalize = [](std::string text) {
-    const auto e = text.find("e+");
-    if (e != std::string::npos) {
-      std::size_t digits = e + 2;
-      while (digits + 1 < text.size() && text[digits] == '0') ++digits;
-      text = text.substr(0, e + 1) + text.substr(digits);
-    }
-    return text;
-  };
-  std::string best;
-  for (int precision : {6, 15, 16, 17}) {
-    std::ostringstream out;
-    out << std::setprecision(precision) << value;
-    best = normalize(out.str());
-    if (std::strtod(best.c_str(), nullptr) == value) {
-      return best;
-    }
-  }
-  return best;
-}
-
-/// Parses a full token as a finite double; rejects empty tokens, trailing
-/// garbage ("12abc"), inf, and NaN with a message naming the bad token.
-double parse_number(const std::string& raw, const char* field,
-                    const std::string& entry) {
-  const std::string token = trim(raw);
-  if (token.empty()) {
-    throw std::invalid_argument(std::string("fault entry has empty ") + field +
-                                " in '" + entry + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    throw std::invalid_argument(std::string("bad ") + field + " token '" +
-                                token + "' in fault entry '" + entry + "'");
-  }
-  return value;
-}
+/// Names an entry in parse errors.
+constexpr const char* kEntryNoun = "fault entry";
 
 /// Parses a full token as an unsigned target index; rejects signs, trailing
 /// garbage, and values that overflow std::size_t.
@@ -224,14 +174,15 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       throw std::invalid_argument("fault entry missing '+duration': '" + entry +
                                   "'");
     }
-    event.start_s = parse_number(tail.substr(0, plus), "start", entry);
+    event.start_s = text::parse_number(tail.substr(0, plus), "start", entry, kEntryNoun);
     std::string rest = tail.substr(plus + 1);
     const auto x = rest.find('x');
     if (x != std::string::npos) {
-      event.severity = parse_number(rest.substr(x + 1), "severity", entry);
+      event.severity =
+          text::parse_number(rest.substr(x + 1), "severity", entry, kEntryNoun);
       rest = rest.substr(0, x);
     }
-    event.duration_s = parse_number(rest, "duration", entry);
+    event.duration_s = text::parse_number(rest, "duration", entry, kEntryNoun);
     if (event.start_s < 0.0) {
       throw std::invalid_argument("fault entry start must be >= 0: '" + entry +
                                   "'");

@@ -26,7 +26,7 @@ class TelemetryFeed {
                double now_s);
 
   /// Trailing-window mean of a published counter over [now - window, now),
-  /// answered from the store's banding pyramid (finest level covering the
+  /// answered by the store's band query (finest level covering the
   /// window). Returns 0.0 while the counter has no samples in the window.
   double recent_mean(telemetry::CounterKey key, double now_s, double window_s) const;
 

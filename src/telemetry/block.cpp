@@ -60,12 +60,20 @@ Aggregate lane_summary(const double* values, std::size_t n) {
   return out;
 }
 
+namespace {
+
+std::int64_t bin_index(double time_s, double resolution_s) {
+  return static_cast<std::int64_t>(std::floor(time_s / resolution_s));
+}
+
+}  // namespace
+
 ColumnSeries::ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning& tuning)
     : block_capacity_(tuning.block_capacity),
       anomaly_config_(tuning.anomaly),
-      levels_(make_level_bins(config)),
-      first_ever_bin_(levels_.size(), 0),
+      levels_(config.levels),
       detector_(tuning.anomaly) {
+  validate(config);
   require(block_capacity_ >= 1, "ColumnSeries: block_capacity must be >= 1");
   open_times_.reserve(block_capacity_);
   open_values_.reserve(block_capacity_);
@@ -74,11 +82,7 @@ ColumnSeries::ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning
 void ColumnSeries::append(double time_s, double value) {
   require(time_s >= 0.0, "ColumnSeries: negative time");
   require(time_s >= last_time_s_, "ColumnSeries: timestamps must be non-decreasing");
-  if (total_samples_ == 0) {
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      first_ever_bin_[l] = levels_[l].bin_index(time_s);
-    }
-  }
+  if (total_samples_ == 0) first_time_s_ = time_s;
   last_time_s_ = time_s;
   ++total_samples_;
   open_times_.push_back(time_s);
@@ -93,9 +97,6 @@ void ColumnSeries::seal() {
   if (n == 0) return;
   const double* times = open_times_.data();
   const double* values = open_values_.data();
-
-  // [banding] Same fold the legacy cascade runs, one level row at a time.
-  for (auto& lvl : levels_) lvl.add_column(times, values, n);
 
   // [detect] Events carry key=0 here; the store stamps the owning counter.
   if (anomaly_config_.enabled) {
@@ -126,63 +127,77 @@ void ColumnSeries::seal() {
 }
 
 ColumnSeries::LevelWindow ColumnSeries::effective_window(std::size_t level) const {
-  // Closed form of the legacy per-append eviction: after every sample so
-  // far (sealed and open alike) has passed through LevelBins::add, the
-  // retained window is the trailing `retention_bins` ending at the newest
-  // sample's bin, clamped to the first bin ever touched.
-  const LevelBins& lvl = levels_[level];
+  // A level that evicts per append keeps the trailing `retention_bins`
+  // bins ending at the newest sample's bin, never reaching back past the
+  // first bin a sample ever touched.
+  const LevelSpec& spec = levels_[level];
   LevelWindow w;
-  w.last = lvl.bin_index(last_time_s_);
-  w.first = first_ever_bin_[level];
-  if (lvl.spec.retention_bins != 0) {
+  w.last = bin_index(last_time_s_, spec.resolution_s);
+  w.first = bin_index(first_time_s_, spec.resolution_s);
+  if (spec.retention_bins != 0) {
     const std::int64_t cutoff =
-        w.last - static_cast<std::int64_t>(lvl.spec.retention_bins) + 1;
+        w.last - static_cast<std::int64_t>(spec.retention_bins) + 1;
     w.first = std::max(w.first, cutoff);
   }
   return w;
 }
 
-Aggregate ColumnSeries::sealed_bin(std::size_t level, std::int64_t bin) const {
-  const LevelBins& lvl = levels_[level];
-  if (lvl.bins.empty()) return {};
-  const std::int64_t idx = bin - lvl.first_bin;
-  if (idx < 0 || idx >= static_cast<std::int64_t>(lvl.bins.size())) return {};
-  return lvl.bins[static_cast<std::size_t>(idx)];
+template <class Fn>
+void ColumnSeries::for_each_bin(std::size_t level, double t0_s, double t1_s,
+                                Fn&& fn) const {
+  require(level < levels_.size(), "ColumnSeries: level out of range");
+  require(t1_s >= t0_s, "ColumnSeries: inverted range");
+  if (total_samples_ == 0) return;
+  const double res = levels_[level].resolution_s;
+  const LevelWindow w = effective_window(level);
+  const std::int64_t lo = std::max(bin_index(t0_s, res), w.first);
+  const std::int64_t hi = std::min(bin_index(std::nextafter(t1_s, t0_s), res), w.last);
+  if (lo > hi) return;
+
+  // Samples arrive in time order, so bins do too: fold each bin's samples
+  // left to right and hand it on when the next bin starts.
+  std::int64_t bin = lo;
+  Aggregate agg;
+  // Returns false once a sample lies past `hi` (nothing later can match).
+  const auto fold = [&](const double* times, const double* values, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t b = bin_index(times[i], res);
+      if (b < lo) continue;
+      if (b > hi) return false;
+      if (b != bin) {
+        if (agg.count != 0) fn(static_cast<double>(bin) * res, agg);
+        agg = Aggregate{};
+        bin = b;
+      }
+      agg.add(values[i]);
+    }
+    return true;
+  };
+
+  std::vector<double> times, values;
+  for (const SealedBlock& block : blocks_) {
+    if (bin_index(block.last_time_s, res) < lo) continue;
+    if (bin_index(block.first_time_s, res) > hi) break;
+    block.decode(times, values);
+    if (!fold(times.data(), values.data(), block.samples)) break;
+  }
+  // After an early stop the tail lies past `hi` too and returns at once.
+  fold(open_times_.data(), open_values_.data(), open_times_.size());
+  if (agg.count != 0) fn(static_cast<double>(bin) * res, agg);
 }
 
 Aggregate ColumnSeries::range_at_level(std::size_t level, double t0_s, double t1_s) const {
-  require(level < levels_.size(), "ColumnSeries: level out of range");
-  require(t1_s >= t0_s, "ColumnSeries: inverted range");
   Aggregate out;
-  if (total_samples_ == 0) return out;
-  const LevelBins& lvl = levels_[level];
-  const LevelWindow w = effective_window(level);
-  const std::int64_t lo = std::max(lvl.bin_index(t0_s), w.first);
-  const std::int64_t hi = std::min(lvl.bin_index(std::nextafter(t1_s, t0_s)), w.last);
-  // Walk the open column once alongside the bin loop; open samples extend
-  // the per-bin fold exactly where the legacy cascade would have put them
-  // (they are the newest samples, so they fold after the sealed content).
-  std::size_t oi = 0;
-  const std::size_t on = open_times_.size();
-  while (oi < on && lvl.bin_index(open_times_[oi]) < lo) ++oi;
-  for (std::int64_t b = lo; b <= hi; ++b) {
-    Aggregate agg = sealed_bin(level, b);
-    while (oi < on && lvl.bin_index(open_times_[oi]) == b) {
-      agg.add(open_values_[oi]);
-      ++oi;
-    }
-    out.merge(agg);
-  }
+  for_each_bin(level, t0_s, t1_s, [&out](double, const Aggregate& agg) { out.merge(agg); });
   return out;
 }
 
 Aggregate ColumnSeries::range(double t0_s, double t1_s) const {
   if (total_samples_ == 0) return {};
-  // Finest level whose retained window still reaches back to t0_s — the
-  // legacy selection rule, with the window in closed form.
+  // Finest level whose retained window still reaches back to t0_s.
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    const double retained_start = static_cast<double>(effective_window(l).first) *
-                                  levels_[l].spec.resolution_s;
+    const double retained_start =
+        static_cast<double>(effective_window(l).first) * levels_[l].resolution_s;
     if (retained_start <= t0_s + 1e-9) return range_at_level(l, t0_s, t1_s);
   }
   return range_at_level(levels_.size() - 1, t0_s, t1_s);
@@ -190,27 +205,11 @@ Aggregate ColumnSeries::range(double t0_s, double t1_s) const {
 
 BinnedMeans ColumnSeries::means_at_level(std::size_t level, double t0_s,
                                          double t1_s) const {
-  require(level < levels_.size(), "ColumnSeries: level out of range");
-  require(t1_s >= t0_s, "ColumnSeries: inverted range");
   BinnedMeans out;
-  if (total_samples_ == 0) return out;
-  const LevelBins& lvl = levels_[level];
-  const LevelWindow w = effective_window(level);
-  const std::int64_t lo = std::max(lvl.bin_index(t0_s), w.first);
-  const std::int64_t hi = std::min(lvl.bin_index(std::nextafter(t1_s, t0_s)), w.last);
-  std::size_t oi = 0;
-  const std::size_t on = open_times_.size();
-  while (oi < on && lvl.bin_index(open_times_[oi]) < lo) ++oi;
-  for (std::int64_t b = lo; b <= hi; ++b) {
-    Aggregate agg = sealed_bin(level, b);
-    while (oi < on && lvl.bin_index(open_times_[oi]) == b) {
-      agg.add(open_values_[oi]);
-      ++oi;
-    }
-    if (agg.count == 0) continue;
-    out.times_s.push_back(static_cast<double>(b) * lvl.spec.resolution_s);
+  for_each_bin(level, t0_s, t1_s, [&out](double bin_start_s, const Aggregate& agg) {
+    out.times_s.push_back(bin_start_s);
     out.means.push_back(agg.mean());
-  }
+  });
   return out;
 }
 
@@ -244,7 +243,6 @@ std::size_t ColumnSeries::memory_bytes() const {
                       open_values_.capacity() * sizeof(double) +
                       events_.capacity() * sizeof(AnomalyEvent);
   for (const SealedBlock& block : blocks_) bytes += block.memory_bytes();
-  for (const LevelBins& lvl : levels_) bytes += lvl.bins.size() * sizeof(Aggregate);
   return bytes;
 }
 

@@ -2,23 +2,21 @@
 //
 // One counter's history is a chain of sealed, immutable, compressed blocks
 // plus one open block of plain contiguous columns (times[], values[]).
-// Ingest is two vector pushes; all the per-sample work a per-sample cascade
-// would do synchronously — the multiscale banding cascade, downsampling,
-// anomaly scoring — runs once per block at seal time, over contiguous
-// arrays:
+// Ingest is two vector pushes; the per-sample work runs once per block at
+// seal time, over contiguous arrays:
 //
-//   seal:  [banding]   LevelBins::add_column per level (the same fold the
-//                      reference per-sample cascade runs, so band queries
-//                      answer bit-identically),
+//   seal:  [detect]     StreamingSpikeDetector::observe per sample,
 //          [downsample] 4-wide-lane min/max + strict-order sum summary,
-//          [detect]    StreamingSpikeDetector::observe per sample,
-//          [compress]  predictive delta-of-delta timestamps + Gorilla XOR
-//                      values (compress.h), ~2 bytes/point on the reference
-//                      counter mix vs 16 raw.
+//          [compress]   predictive delta-of-delta timestamps + Gorilla XOR
+//                       values (compress.h), ~2 bytes/point on the reference
+//                       counter mix vs 16 raw.
 //
-// Sealed blocks answer raw-history queries without touching the open
-// block: a block fully inside the query window contributes its summary
-// (no decompression); only window-edge blocks are decoded.
+// The blocks are the only copy of the data. Band queries fold their bins at
+// query time: they decode the sealed blocks that overlap the window, read
+// the open tail, and fold each bin's samples in append order. That is the
+// order a per-sample level cascade folds them in, so the answers match it
+// bit for bit. Raw-history queries take a whole block inside the window
+// from its summary (no decompression); only window-edge blocks are decoded.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +64,8 @@ struct SealedBlock {
 /// bit-for-bit regardless of how the compiler vectorizes.
 Aggregate lane_summary(const double* values, std::size_t n);
 
-/// One counter's columnar history: sealed chain + open block + banding rows
-/// + streaming detector state. Appends must have non-decreasing timestamps
+/// One counter's columnar history: sealed chain + open block + streaming
+/// detector state. Appends must have non-decreasing timestamps
 /// (same contract as MultiScaleSeries).
 class ColumnSeries {
  public:
@@ -76,7 +74,7 @@ class ColumnSeries {
   void append(double time_s, double value);
   /// Seals a partial open block (no-op when empty). Queries are correct
   /// without flushing — the open block is scanned directly — but flushing
-  /// moves its samples into the compressed chain and the banding rows.
+  /// moves its samples into the compressed chain.
   void flush();
 
   std::uint64_t total_samples() const { return total_samples_; }
@@ -86,8 +84,8 @@ class ColumnSeries {
   std::size_t open_samples() const { return open_times_.size(); }
 
   /// Band queries, answer-for-answer bit-identical to a MultiScaleSeries
-  /// fed the same samples (the open block contributes via an on-the-fly
-  /// continuation of the same fold).
+  /// fed the same samples. Bins are folded from the overlapping sealed
+  /// blocks and the open tail; nothing per level is stored.
   Aggregate range(double t0_s, double t1_s) const;
   Aggregate range_at_level(std::size_t level, double t0_s, double t1_s) const;
   BinnedMeans means_at_level(std::size_t level, double t0_s, double t1_s) const;
@@ -106,27 +104,28 @@ class ColumnSeries {
 
  private:
   struct LevelWindow {
-    std::int64_t first = 0;  ///< first retained bin (legacy closed form)
+    std::int64_t first = 0;  ///< first retained bin
     std::int64_t last = 0;   ///< bin of the newest sample
   };
 
   void seal();
-  /// Effective retained-bin window for `level`, accounting for open-block
-  /// samples exactly as the legacy per-append eviction would have.
+  /// Retained-bin window for `level`: the closed form of per-append
+  /// eviction over every sample so far, sealed and open alike.
   LevelWindow effective_window(std::size_t level) const;
-  /// Sealed bin content for `bin` (empty aggregate outside the deque).
-  Aggregate sealed_bin(std::size_t level, std::int64_t bin) const;
+  /// Calls fn(bin_start_s, aggregate) for every non-empty bin of `level`
+  /// that lies in [t0, t1) and in the retained window, oldest bin first.
+  template <class Fn>
+  void for_each_bin(std::size_t level, double t0_s, double t1_s, Fn&& fn) const;
 
   std::size_t block_capacity_;
   StreamingAnomalyConfig anomaly_config_;
-  std::vector<LevelBins> levels_;
-  /// Bin of the first sample ever, per level (fixed after first append).
-  std::vector<std::int64_t> first_ever_bin_;
+  std::vector<LevelSpec> levels_;
   std::vector<SealedBlock> blocks_;
   std::vector<double> open_times_;
   std::vector<double> open_values_;
   StreamingSpikeDetector detector_;
   std::vector<AnomalyEvent> events_;
+  double first_time_s_ = 0.0;
   double last_time_s_ = -1.0;
   std::uint64_t total_samples_ = 0;
 };

@@ -2,18 +2,19 @@
 // sharded by server so the §5.3 firehose (10,000 servers x 100 counters
 // @ 15 s = 2.4M+ points/minute) can be ingested in parallel.
 //
-// Each counter accumulates plain columnar blocks (block.h); the banding /
-// downsampling / anomaly / compression work runs per sealed block over
-// contiguous arrays instead of per sample. Bulk ingest is a two-pass shard
+// Each counter accumulates plain columnar blocks (block.h); the detect /
+// downsample / compress work runs per sealed block over contiguous arrays
+// instead of per sample, and band queries fold their bins from the decoded
+// blocks at query time (no per-level copy is stored). Bulk ingest is a two-pass shard
 // partition: contiguous input slices list their sample indices per shard,
 // then whole shards are applied in parallel, each reading the slice lists
 // in slice order. Every series therefore sees its samples in batch order
 // at any thread count, so the store is bit-identical to serial append.
 //
 // The per-sample cascade store this one replaced is kept only in the
-// epm_reference library that tests and benches link; it runs the same
-// LevelBins fold, so band queries answer bit-identically across the two
-// (enforced by tests and EXP-AA).
+// epm_reference library that tests and benches link. It stores a bin
+// pyramid per series and shares no fold code with this store; tests and
+// EXP-AA check that the two answer every band query bit-identically.
 #pragma once
 
 #include <array>
@@ -78,8 +79,8 @@ struct Sample {
 };
 
 /// Multi-scale store for a whole fleet, sharded by server: partitioned
-/// parallel ingest, compressed sealed blocks, block-seal banding /
-/// downsampling / anomaly detection (block.h).
+/// parallel ingest, compressed sealed blocks, block-seal downsampling /
+/// anomaly detection, query-time band folds (block.h).
 class ColumnarTelemetryStore {
  public:
   static constexpr std::size_t kShards = kTelemetryShards;
@@ -120,9 +121,9 @@ class ColumnarTelemetryStore {
   void bulk_append(const std::vector<Sample>& samples, std::size_t threads = 0);
 
   /// Seals every open block (partial blocks included) so all samples are in
-  /// the compressed chain and the banding rows. Queries do not require a
-  /// flush — open blocks are scanned directly — but benchmarks and memory
-  /// accounting call it to finalize.
+  /// the compressed chain. Queries do not require a flush — open blocks
+  /// are scanned directly — but benchmarks and memory accounting call it to
+  /// finalize.
   void flush();
 
   std::size_t series_count() const;
