@@ -80,7 +80,9 @@ Aggregate MultiScaleSeries::range_at_level(std::size_t level, double t0_s,
   require(t1_s >= t0_s, "MultiScaleSeries: inverted range");
   const LevelBins& lvl = levels_[level];
   Aggregate out;
-  if (lvl.bins.empty()) return out;
+  // [t, t) is empty, and append rejects negative times, so a window ending
+  // at or before 0 holds nothing: the `hi` bin below would claim one.
+  if (lvl.bins.empty() || t1_s <= t0_s || t1_s <= 0.0) return out;
   const std::int64_t lo = std::max(lvl.bin_index(t0_s), lvl.first_bin);
   const std::int64_t hi_bin = lvl.bin_index(std::nextafter(t1_s, t0_s));
   const std::int64_t hi =
@@ -111,7 +113,7 @@ MultiScaleSeries::BinnedMeans MultiScaleSeries::means_at_level(std::size_t level
   require(t1_s >= t0_s, "MultiScaleSeries: inverted range");
   const LevelBins& lvl = levels_[level];
   BinnedMeans out;
-  if (lvl.bins.empty()) return out;
+  if (lvl.bins.empty() || t1_s <= t0_s || t1_s <= 0.0) return out;  // as above
   const std::int64_t lo = std::max(lvl.bin_index(t0_s), lvl.first_bin);
   const std::int64_t hi =
       std::min(lvl.bin_index(std::nextafter(t1_s, t0_s)),

@@ -147,7 +147,9 @@ void ColumnSeries::for_each_bin(std::size_t level, double t0_s, double t1_s,
                                 Fn&& fn) const {
   require(level < levels_.size(), "ColumnSeries: level out of range");
   require(t1_s >= t0_s, "ColumnSeries: inverted range");
-  if (total_samples_ == 0) return;
+  // [t, t) is empty, and append rejects negative times, so a window ending
+  // at or before 0 holds nothing: the `hi` bin below would claim one.
+  if (total_samples_ == 0 || t1_s <= t0_s || t1_s <= 0.0) return;
   const double res = levels_[level].resolution_s;
   const LevelWindow w = effective_window(level);
   const std::int64_t lo = std::max(bin_index(t0_s, res), w.first);

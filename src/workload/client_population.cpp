@@ -1,6 +1,7 @@
 #include "workload/client_population.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -37,6 +38,33 @@ double uniform01(SplitMix64& rng) {
 /// j > 0 (draw_on_retry_ / draw_on_cooldown_) to match the legacy stream.
 double jitter_draw(std::uint64_t& state, double j) {
   return 1.0 - j + 2.0 * j * unit_draw(state);
+}
+
+// Batch ordering: LSD radix sort over 8-bit digits of a 64-bit due key.
+constexpr std::size_t kDigitBits = 8;
+constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+constexpr std::size_t kDigits = 64 / kDigitBits;
+
+/// Order-preserving map of a due time onto an unsigned key. -0.0 first
+/// folds into +0.0 (they compare equal, so they must tie); then the IEEE
+/// flip: non-negative values get the sign bit set, negative ones have every
+/// bit inverted.
+std::uint64_t due_key(double due_s) {
+  const auto bits = std::bit_cast<std::uint64_t>(due_s + 0.0);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+/// One stable counting pass on the digit at `shift`: each (key, id) goes to
+/// its bucket's next slot, advancing `next`.
+void radix_scatter(const std::uint64_t* keys, const std::uint32_t* ids,
+                   std::size_t count, std::size_t shift,
+                   std::array<std::size_t, kRadix>& next,
+                   std::uint64_t* out_keys, std::uint32_t* out_ids) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t slot = next[(keys[i] >> shift) & (kRadix - 1)]++;
+    out_keys[slot] = keys[i];
+    out_ids[slot] = ids[i];
+  }
 }
 
 }  // namespace
@@ -200,22 +228,22 @@ const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
   batch_.clear();
   const double end = t0 + dt;
 
-  // Shard spans come out of the arena serially (it is not thread-safe);
-  // workers then fill disjoint spans.
+  // Shard s fills its own id range of the two candidate columns, so workers
+  // write disjoint spans (the arena is not thread-safe; both columns come
+  // out of it here, on the control thread).
   arena_.reset();
-  std::array<Candidate*, kShards> spans;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    spans[s] = arena_.alloc<Candidate>(shard_end(s) - shard_begin(s));
-  }
+  const std::size_t n = config_.clients;
+  std::uint64_t* keys = arena_.alloc<std::uint64_t>(n);
+  std::uint32_t* ids = arena_.alloc<std::uint32_t>(n);
   std::array<std::size_t, kShards> counts{};
   std::array<Tally, kShards> tallies{};
 
   for_shards([&](std::size_t s) {
     Tally& t = tallies[s];
-    Candidate* out = spans[s];
-    std::size_t found = 0;
+    const std::size_t lo = shard_begin(s);
     const std::size_t hi = shard_end(s);
-    for (std::size_t id = shard_begin(s); id < hi; ++id) {
+    std::size_t found = lo;
+    for (std::size_t id = lo; id < hi; ++id) {
       const State st = state_[id];
       if (st == State::kWaiting || st == State::kLost) continue;
       const double due = due_s_[id];
@@ -236,13 +264,11 @@ const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
       // attempt is in flight, so it counts as waiting with no deadline yet.
       state_[id] = State::kWaiting;
       due_s_[id] = kNever;
-      out[found++] = Candidate{due, static_cast<std::uint32_t>(id)};
+      keys[found] = due_key(due);
+      ids[found] = static_cast<std::uint32_t>(id);
+      ++found;
     }
-    std::sort(out, out + found, [](const Candidate& a, const Candidate& b) {
-      if (a.due_s != b.due_s) return a.due_s < b.due_s;
-      return a.id < b.id;
-    });
-    counts[s] = found;
+    counts[s] = found - lo;
   });
 
   std::size_t total = 0;
@@ -250,41 +276,65 @@ const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
     apply_tally(tallies[s]);
     total += counts[s];
   }
+  if (total == 0) return batch_;
 
-  // Deterministic k-way merge of the sorted shard spans reproduces the
-  // legacy heap's (due, id) pop order exactly — the property suite
-  // checksums batch order, so this is contractual, not cosmetic.
-  struct Head {
-    double due_s;
-    std::uint32_t id;
-    std::uint32_t shard;
-  };
-  const auto later = [](const Head& a, const Head& b) {
-    if (a.due_s != b.due_s) return a.due_s > b.due_s;
-    return a.id > b.id;
-  };
-  batch_.reserve(total);
-  std::array<std::size_t, kShards> pos{};
-  Head heap[kShards];
-  std::size_t heads = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    if (counts[s] > 0) {
-      heap[heads++] = Head{spans[s][0].due_s, spans[s][0].id, s};
+  // The shard spans concatenate to ascending id order, so a stable sort on
+  // the due key alone yields the contractual (due, id) batch order — the
+  // property suite checksums it, so this is not cosmetic. LSD radix, one
+  // byte per pass; one histogram pass counts every digit, and a digit with
+  // one bucket holding the whole batch (the high bytes an epoch's dues
+  // share) cannot reorder anything, so its pass is skipped.
+  std::array<std::array<std::size_t, kRadix>, kDigits> hist{};
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::uint64_t* k = keys + shard_begin(s);
+    for (std::size_t i = 0; i < counts[s]; ++i) {
+      for (std::size_t d = 0; d < kDigits; ++d) {
+        ++hist[d][(k[i] >> (d * kDigitBits)) & (kRadix - 1)];
+      }
     }
   }
-  std::make_heap(heap, heap + heads, later);
-  while (heads > 0) {
-    std::pop_heap(heap, heap + heads, later);
-    const Head head = heap[heads - 1];
-    batch_.push_back(head.id);
-    const std::size_t next = ++pos[head.shard];
-    if (next < counts[head.shard]) {
-      const Candidate& cand = spans[head.shard][next];
-      heap[heads - 1] = Head{cand.due_s, cand.id, head.shard};
-      std::push_heap(heap, heap + heads, later);
-    } else {
-      --heads;
+  std::array<std::size_t, kDigits> passes{};
+  std::size_t n_passes = 0;
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    if (std::ranges::find(hist[d], total) == hist[d].end()) passes[n_passes++] = d;
+  }
+  // When every due is equal, one pass on a constant digit still gathers the
+  // shard spans into the batch, in scan order.
+  if (n_passes == 0) passes[n_passes++] = 0;
+
+  // The first pass scatters straight from the shard spans into the sort
+  // buffer; later passes ping-pong between it and the (now free) front of
+  // the candidate columns. The last pass writes its ids into the batch.
+  if (sort_keys_.size() < total) {
+    sort_keys_.resize(total);
+    sort_ids_.resize(total);
+  }
+  batch_.resize(total);
+  const std::uint64_t* src_keys = keys;
+  const std::uint32_t* src_ids = ids;
+  std::array<std::size_t, kRadix> offsets;
+  for (std::size_t p = 0; p < n_passes; ++p) {
+    const std::size_t shift = passes[p] * kDigitBits;
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < kRadix; ++b) {
+      offsets[b] = sum;
+      sum += hist[passes[p]][b];
     }
+    std::uint64_t* dst_keys = p % 2 == 0 ? sort_keys_.data() : keys;
+    std::uint32_t* dst_ids = p + 1 == n_passes ? batch_.data()
+                             : p % 2 == 0      ? sort_ids_.data()
+                                               : ids;
+    if (p == 0) {
+      for (std::size_t s = 0; s < kShards; ++s) {
+        radix_scatter(keys + shard_begin(s), ids + shard_begin(s), counts[s],
+                      shift, offsets, dst_keys, dst_ids);
+      }
+    } else {
+      radix_scatter(src_keys, src_ids, total, shift, offsets, dst_keys,
+                    dst_ids);
+    }
+    src_keys = dst_keys;
+    src_ids = dst_ids;
   }
   return batch_;
 }

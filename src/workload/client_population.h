@@ -21,10 +21,12 @@
 // in deterministic shard order, bit-identical at any thread count), RNG is
 // drawn as branch-free block transforms over the raw counter states, and
 // per-epoch scratch comes from an EpochArena instead of the heap. The
-// per-event heap engine it replaced is kept in the epm_reference library
-// (linked by tests and benches only) as the A/B baseline; the equivalence
-// suite asserts both engines produce bit-identical attempt streams and
-// ledgers.
+// collect sweep emits each due client's (due key, id) in ascending id
+// order, so one stable LSD radix sort on the key alone gives the (due, id)
+// batch order the legacy heap popped in. The per-event heap engine it
+// replaced is kept in the epm_reference library (linked by tests and
+// benches only) as the A/B baseline; the equivalence suite asserts both
+// engines produce bit-identical attempt streams and ledgers.
 //
 // Everything is per-client and seeded, so a population replayed against the
 // same service responses reproduces the same attempt stream bit-for-bit.
@@ -208,13 +210,6 @@ class ClientPopulation {
     kLost,      ///< abandoned forever (no cooldown)
   };
 
-  /// (due, id) candidate produced by the collect sweep; spans of these are
-  /// sorted per shard and k-way merged into the global batch order.
-  struct Candidate {
-    double due_s;
-    std::uint32_t id;
-  };
-
   /// Per-shard counter ledger for one sweep, merged in shard order.
   struct Tally {
     std::uint64_t intents = 0;
@@ -275,6 +270,10 @@ class ClientPopulation {
   bool draw_on_cooldown_ = false;  ///< abandon-to-cooldown consumes one
 
   std::vector<std::uint32_t> batch_;
+  /// Radix-sort buffer for collect_due's (key, id) pairs, retained across
+  /// epochs; the other buffer is the front of the arena's candidate columns.
+  std::vector<std::uint64_t> sort_keys_;
+  std::vector<std::uint32_t> sort_ids_;
   ClientLedger ledger_;
   SplitMix64 disconnect_rng_{0};
   std::size_t waiting_count_ = 0;
